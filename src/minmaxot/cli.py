@@ -142,6 +142,14 @@ _FLOW_KEY_TYPES = {
 }
 
 
+# Keys a --config file may set: the flow settings plus the experiment fields
+# that write_resolved_config records, so a resolved config can be fed back.
+_CONFIG_KEYS = set(_FLOW_KEY_TYPES) | {
+    "particles", "scenario", "method", "out", "mu_csv", "nu_csv",
+    "snapshot_steps", "interpolant_s_values",
+}
+
+
 def _flow_values_from_config(values: dict) -> dict:
     out = {}
     for key, conv in _FLOW_KEY_TYPES.items():
@@ -251,7 +259,11 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
         variant_x, variant_y = method_preset(method)
         cfg = dataclasses.replace(spec.flow, kl_variant_x=variant_x, kl_variant_y=variant_y)
         recorder = TrajectoryRecorder(snapshot_steps=(cfg.steps,))
-        traj = run(mu, nu, cost, cfg, recorder=recorder)
+        try:
+            traj = run(mu, nu, cost, cfg, recorder=recorder)
+        except FlowDivergedError as err:
+            print(f"error: method {method}: {err}", file=sys.stderr)
+            return 1
         last = traj.snapshots[cfg.steps]
         metrics = marginal_error_table(last, mu, nu, cfg.bins_per_dim)
         rows.append((method, *metrics))
@@ -295,9 +307,6 @@ def cmd_validate_response(
     mu, nu = scenario_marginals(spec)
     if mu.kind != "analytic" or nu.kind != "analytic":
         print("error: validate-response needs an analytic scenario", file=sys.stderr)
-        return 1
-    if mu.dim != nu.dim or mu.dim > 2:
-        print("error: validate-response supports d_x = d_y <= 2", file=sys.stderr)
         return 1
     cost = quadratic_cost()
     ev = ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=quad_nodes)
@@ -404,6 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> ExperimentSpec:
     config_values = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(config_values) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     scenario = args.scenario or config_values.get("scenario", "gaussian_pair")
     method = args.method or config_values.get("method", "I")
     out = args.out or config_values.get("out", "minmaxot_out")

@@ -8,8 +8,6 @@ over the points plus one pass over the bins.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +17,19 @@ from .model import Box
 MAX_TOTAL_BINS = 10_000_000
 
 
-def worker_threads() -> int:
-    """Worker-parallelism cap from MINMAXOT_THREADS (default 1)."""
-    raw = os.environ.get("MINMAXOT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _flat_index(box: Box, bins_per_dim: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell index of each point on the regular grid over ``box`` (C
+    order), and whether the point lies in the box. Out-of-box points get the
+    index of the nearest edge cell."""
+    b = bins_per_dim
+    scaled = (pts - box.low) / (box.widths / b)
+    inside = np.all((scaled >= 0.0) & (scaled <= b), axis=1)
+    idx = scaled.astype(np.int64)  # floor for in-box points
+    np.clip(idx, 0, b - 1, out=idx)
+    flat = idx[:, 0]
+    for a in range(1, box.dim):
+        flat = flat * b + idx[:, a]
+    return flat, inside
 
 
 @dataclass(frozen=True)
@@ -79,24 +83,13 @@ class HistogramDensity:
     def binned_fraction(self) -> float:
         return float(self.counts.sum()) / self.total
 
-    def _flat_index(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = self.bins_per_dim
-        scaled = (pts - self.box.low) / self.bin_widths
-        inside = np.all((scaled >= 0.0) & (scaled <= b), axis=1)
-        idx = scaled.astype(np.int64)  # floor for in-box points
-        np.clip(idx, 0, b - 1, out=idx)
-        flat = idx[:, 0]
-        for a in range(1, self.dim):
-            flat = flat * b + idx[:, a]
-        return flat, inside
-
     def density_at(self, x):
         """Histogram value at x; floor_eps outside the box. Accepts (d,) or (n, d)."""
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        flat, inside = self._flat_index(pts)
+        flat, inside = _flat_index(self.box, self.bins_per_dim, pts)
         out = np.full(len(pts), self.floor_eps)
         out[inside] = self.values[flat[inside]]
         return float(out[0]) if single else out
@@ -117,14 +110,11 @@ def grid_centers(box: Box, bins_per_dim: int) -> np.ndarray:
     return np.column_stack([g.ravel() for g in grids])
 
 
-def fit_histogram(points, box: Box, bins_per_dim: int, threads: int | None = None) -> HistogramDensity:
+def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
     """Count points into a regular grid over ``box``.
 
     Points outside the box are dropped from the counts but still included in
-    the total, so the histogram integrates to the binned fraction. With
-    ``threads`` > 1 the counting pass is split into per-thread partial counts
-    merged once (exact integer reduction, so the result does not depend on
-    the thread count).
+    the total, so the histogram integrates to the binned fraction.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
@@ -138,28 +128,8 @@ def fit_histogram(points, box: Box, bins_per_dim: int, threads: int | None = Non
         raise ValueError(
             f"grid of {n_bins} bins exceeds the {MAX_TOTAL_BINS} bin budget"
         )
-
-    widths = box.widths / bins_per_dim
-
-    def _count(chunk: np.ndarray) -> np.ndarray:
-        scaled = (chunk - box.low) / widths
-        inside = np.all((scaled >= 0.0) & (scaled <= bins_per_dim), axis=1)
-        idx = scaled.astype(np.int64)
-        np.clip(idx, 0, bins_per_dim - 1, out=idx)
-        flat = idx[:, 0]
-        for a in range(1, box.dim):
-            flat = flat * bins_per_dim + idx[:, a]
-        return np.bincount(flat[inside], minlength=n_bins)
-
-    n_workers = worker_threads() if threads is None else max(1, threads)
-    if n_workers == 1 or len(pts) < 4 * n_workers:
-        counts = _count(pts)
-    else:
-        chunks = np.array_split(pts, n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(_count, chunks))
-        counts = np.sum(partials, axis=0)
-
+    flat, inside = _flat_index(box, bins_per_dim, pts)
+    counts = np.bincount(flat[inside], minlength=n_bins)
     return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=len(pts))
 
 
@@ -182,7 +152,7 @@ def _pair_values(h: HistogramDensity, ref, pts: np.ndarray) -> tuple[np.ndarray,
     """Histogram and floored reference values at pts, sharing one index pass
     when both live on the same grid."""
     if _same_grid(h, ref):
-        flat, inside = h._flat_index(pts)
+        flat, inside = _flat_index(h.box, h.bins_per_dim, pts)
         hv = np.full(len(pts), h.floor_eps)
         rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
         sel = flat[inside]

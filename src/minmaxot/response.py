@@ -2,10 +2,13 @@
 marginal-KL value function and its derivative, and the scalar penalty ODE.
 
 Everything is evaluated by tensor-product Gauss-Legendre quadrature over the
-marginals' support boxes. The evaluator is immutable and its methods are
-pure, so concurrent evaluation at different penalty weights is safe. This
-module is a validation lab for the particle flow, not a production path: the
-joint quadrature is limited to d_x + d_y <= 4.
+marginals' support boxes. The cost must be a sum over axes,
+c(x, y) = sum_a c(x_a, y_a), with ``cost.evaluate`` on single coordinates
+giving the per-axis terms (the quadratic cost is one), so the joint kernel
+exp(-c/lam) factors into one small matrix per axis. The evaluator holds no
+mutable state: everything is computed at construction, so concurrent
+evaluation at different penalty weights is safe. This module is a validation
+lab for the particle flow, not a production path.
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ from scipy.special import xlogy
 
 from .model import Box, CostFunction, Marginal
 
-# Joint kernels up to this many entries are cached; larger ones are streamed.
-_CACHE_ENTRY_LIMIT = 40_000_000
-_CHUNK_ROWS = 2048
 
-
-def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre nodes and weights on a box."""
+def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Per-axis Gauss-Legendre nodes on a box, plus the tensor-product nodes
+    and weights in C order."""
     base_x, base_w = leggauss(nodes_per_dim)
     axes_x, axes_w = [], []
     for a in range(box.dim):
@@ -34,7 +34,18 @@ def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[np.ndarray, np
     weights = axes_w[0]
     for a in range(1, box.dim):
         weights = np.multiply.outer(weights, axes_w[a])
-    return nodes, weights.ravel()
+    return axes_x, nodes, weights.ravel()
+
+
+def _apply_factored(mats: list, weights: np.ndarray, paired: bool = False) -> np.ndarray:
+    """Apply the kernel prod_a mats[a] (each (m, n), d <= 2) to the flat weight
+    tensor of shape (n,) * d. On the grid out[i] = sum_j prod_a
+    mats[a][i_a, j_a] w[j]; ``paired`` rows are query points, out[k] = sum_j
+    prod_a mats[a][k, j_a] w[j]."""
+    acc = mats[0] @ weights.reshape(mats[0].shape[1], -1)
+    if len(mats) == 2:
+        acc = (acc * mats[1]).sum(axis=1) if paired else acc @ mats[1].T
+    return acc.ravel()
 
 
 class ResponseEvaluator:
@@ -42,7 +53,10 @@ class ResponseEvaluator:
 
     Integrals against each marginal use fixed Gauss-Legendre nodes weighted by
     the marginal density, so same-grid identities (e.g. the Fubini consistency
-    of the partition function) hold to rounding.
+    of the partition function) hold to rounding. Both marginals must have the
+    same dimension, at most 2, and the cost must be a sum over axes: the
+    constructor checks it on 256 x 256 joint node pairs and raises
+    ``ValueError`` otherwise.
     """
 
     def __init__(
@@ -56,7 +70,9 @@ class ResponseEvaluator:
     ):
         if mu.kind != "analytic" or nu.kind != "analytic":
             raise ValueError("the evaluator requires analytic marginals")
-        if mu.dim > 2 or nu.dim > 2:
+        if mu.dim != nu.dim:
+            raise ValueError("the marginals must have the same dimension")
+        if mu.dim > 2:
             raise ValueError("quadrature supports at most 2 dimensions per marginal")
         if quad_nodes_per_dim < 2:
             raise ValueError("need at least 2 quadrature nodes per dimension")
@@ -67,75 +83,52 @@ class ResponseEvaluator:
         self.quad_box_mu = quad_box_mu or mu.support_box
         self.quad_box_nu = quad_box_nu or nu.support_box
 
-        self.nodes_x, base_wx = _tensor_gauss_legendre(self.quad_box_mu, quad_nodes_per_dim)
-        self.nodes_y, base_wy = _tensor_gauss_legendre(self.quad_box_nu, quad_nodes_per_dim)
+        self._axes_x, self.nodes_x, base_wx = _tensor_gauss_legendre(
+            self.quad_box_mu, quad_nodes_per_dim
+        )
+        self._axes_y, self.nodes_y, base_wy = _tensor_gauss_legendre(
+            self.quad_box_nu, quad_nodes_per_dim
+        )
         # Weights absorb the densities: sum(w_mu * f(nodes_x)) ~ integral of f d(mu).
         self.w_mu = base_wx * mu.density_at(self.nodes_x)
         self.w_nu = base_wy * nu.density_at(self.nodes_y)
-        self._cost_matrix: np.ndarray | None = None
+        # Per-axis cost matrices C_a[i, j] = c(x_a[i], y_a[j]).
+        self._axis_costs = [self._axis_cost(u, v) for u, v in zip(self._axes_x, self._axes_y)]
 
-    # -- joint-kernel plumbing -------------------------------------------------
+        # sum_a C_a must reproduce the cost on evenly spaced joint node pairs.
+        idx = np.linspace(0, len(self.nodes_x) - 1, 256).astype(np.int64)
+        ii, jj = (g.ravel() for g in np.meshgrid(idx, idx, indexing="ij"))
+        direct = self.cost.evaluate(self.nodes_x[ii], self.nodes_y[jj])
+        shape = (quad_nodes_per_dim,) * mu.dim
+        pairs = zip(self._axis_costs, np.unravel_index(ii, shape), np.unravel_index(jj, shape))
+        summed = sum(c[i, j] for c, i, j in pairs)
+        if not np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct)):
+            raise ValueError(f"cost {cost.name!r} is not a sum over axes of its 1-D terms")
 
-    def _joint_ok(self):
-        if self.mu.dim + self.nu.dim > 4:
-            raise ValueError("joint quadrature limited to d_x + d_y <= 4")
-
-    def _get_cost_matrix(self) -> np.ndarray | None:
-        n = len(self.nodes_x) * len(self.nodes_y)
-        if n > _CACHE_ENTRY_LIMIT:
-            return None
-        if self._cost_matrix is None:
-            self._cost_matrix = self._cost_block(self.nodes_x, self.nodes_y)
-        return self._cost_matrix
-
-    def _cost_block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        nx, ny = len(xs), len(ys)
-        block = np.empty((nx, ny))
-        for i in range(nx):
-            block[i] = self.cost.evaluate(np.broadcast_to(xs[i], ys.shape), ys)
-        return block
+    def _axis_cost(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Cost matrix between the 1-D coordinates u[i] and v[j]."""
+        uu, vv = np.meshgrid(u, v, indexing="ij")
+        return self.cost.evaluate(uu.reshape(-1, 1), vv.reshape(-1, 1)).reshape(uu.shape)
 
     def _kernel_pass(self, lam: float, with_cost_moments: bool = False) -> dict:
-        """One sweep over the joint kernel exp(-c/lam).
+        """One sweep over the joint kernel exp(-c/lam) = prod_a exp(-C_a/lam).
 
-        Returns z1 (per x-node), z2 (per y-node), z, and optionally the
-        sigma-weighted cost moments needed by the derivative formula.
+        Returns z1 (per x-node), z2 (per y-node), and optionally the
+        sigma-weighted cost moments needed by the derivative formula: ec_row
+        (per x-node: integral of c e^{-c/lam} d(nu)), ec_col and their total ec.
         """
-        self._joint_ok()
-        cmat = self._get_cost_matrix()
-        nx = len(self.nodes_x)
-        z1 = np.empty(nx)
-        z2 = np.zeros(len(self.nodes_y))
-        ec = 0.0
-        ec_logz1 = None
-        if cmat is not None:
-            kern = np.exp(-cmat / lam)
-            z1 = kern @ self.w_nu
-            z2 = self.w_mu @ kern
-            if with_cost_moments:
-                ck = cmat * kern
-                ec = float(self.w_mu @ ck @ self.w_nu)
-                ec_row = ck @ self.w_nu  # per x-node: integral of c e^{-c/lam} d(nu)
-                ec_col = self.w_mu @ ck
-                return {"z1": z1, "z2": z2, "ec": ec, "ec_row": ec_row, "ec_col": ec_col}
-            return {"z1": z1, "z2": z2}
-
-        ec_row = np.zeros(nx)
-        ec_col = np.zeros(len(self.nodes_y))
-        for start in range(0, nx, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, nx)
-            block = self._cost_block(self.nodes_x[start:stop], self.nodes_y)
-            kern = np.exp(-block / lam)
-            z1[start:stop] = kern @ self.w_nu
-            z2 += self.w_mu[start:stop] @ kern
-            if with_cost_moments:
-                ck = block * kern
-                ec_row[start:stop] = ck @ self.w_nu
-                ec_col += self.w_mu[start:stop] @ ck
+        kerns = [np.exp(-c / lam) for c in self._axis_costs]
+        kerns_t = [k.T for k in kerns]
+        out = {"z1": _apply_factored(kerns, self.w_nu), "z2": _apply_factored(kerns_t, self.w_mu)}
         if with_cost_moments:
-            ec = float(self.w_mu @ ec_row)
-            return {"z1": z1, "z2": z2, "ec": ec, "ec_row": ec_row, "ec_col": ec_col}
-        return {"z1": z1, "z2": z2}
+            # c e^{-c/lam} = sum_a (C_a K_a) prod_{b != a} K_b
+            ec_row = ec_col = 0.0
+            for a, c in enumerate(self._axis_costs):
+                ck = c * kerns[a]
+                ec_row = ec_row + _apply_factored(kerns[:a] + [ck] + kerns[a + 1:], self.w_nu)
+                ec_col = ec_col + _apply_factored(kerns_t[:a] + [ck.T] + kerns_t[a + 1:], self.w_mu)
+            out.update(ec=float(self.w_mu @ ec_row), ec_row=ec_row, ec_col=ec_col)
+        return out
 
     # -- partition functions ---------------------------------------------------
 
@@ -152,31 +145,26 @@ class ResponseEvaluator:
         pas = self._kernel_pass(lam)
         return float(self.w_mu @ pas["z1"])
 
-    def partition_given_x(self, lam: float, x) -> float | np.ndarray:
-        """Z1(x) = integral of exp(-c(x, .)/lam) d(nu)."""
+    def _partition_at(self, lam: float, pts, given_x: bool):
+        """Z1 (``given_x``) or Z2 at query points, from 1-D kernel rows."""
         lam = self._check_lam(lam)
-        pts = np.asarray(x, dtype=float)
+        pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(pts))
-            block = self._cost_block(pts[start:stop], self.nodes_y)
-            out[start:stop] = np.exp(-block / lam) @ self.w_nu
+        rows = [
+            np.exp(-(self._axis_cost(p, v) if given_x else self._axis_cost(u, p).T) / lam)
+            for p, u, v in zip(pts.T, self._axes_x, self._axes_y)
+        ]
+        out = _apply_factored(rows, self.w_nu if given_x else self.w_mu, paired=True)
         return float(out[0]) if single else out
+
+    def partition_given_x(self, lam: float, x) -> float | np.ndarray:
+        """Z1(x) = integral of exp(-c(x, .)/lam) d(nu)."""
+        return self._partition_at(lam, x, given_x=True)
 
     def partition_given_y(self, lam: float, y) -> float | np.ndarray:
         """Z2(y) = integral of exp(-c(., y)/lam) d(mu)."""
-        lam = self._check_lam(lam)
-        pts = np.asarray(y, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(pts))
-            block = self._cost_block(self.nodes_x, pts[start:stop])
-            out[start:stop] = self.w_mu @ np.exp(-block / lam)
-        return float(out[0]) if single else out
+        return self._partition_at(lam, y, given_x=False)
 
     # -- best-response marginals -----------------------------------------------
 

@@ -90,3 +90,22 @@ def central_fd_gradient(f, x, h):
         dx[a] = h
         grad[a] = (f(x + dx) - f(x - dx)) / (2.0 * h)
     return grad
+
+
+def dense_cost_matrix(cost, xs, ys):
+    """Joint cost matrix c(xs[i], ys[j]), filled one row at a time."""
+    return np.array([cost.evaluate(np.broadcast_to(x, ys.shape), ys) for x in xs])
+
+
+def dense_kernel_pass(cost, nodes_x, nodes_y, w_mu, w_nu, lam):
+    """Partition sums and cost moments from the full joint kernel exp(-c/lam)."""
+    cmat = dense_cost_matrix(cost, nodes_x, nodes_y)
+    kern = np.exp(-cmat / lam)
+    ck = cmat * kern
+    return {
+        "z1": kern @ w_nu,
+        "z2": w_mu @ kern,
+        "ec": float(w_mu @ ck @ w_nu),
+        "ec_row": ck @ w_nu,
+        "ec_col": w_mu @ ck,
+    }

@@ -1,9 +1,8 @@
-import os
-
 import numpy as np
 import pytest
 
 import minmaxot.cli as cli
+from minmaxot.flow import FlowDivergedError
 
 
 def run_cli(*argv):
@@ -85,33 +84,20 @@ def test_csv_outputs_roundtrip(tmp_path):
 def test_determinism_across_runs_and_threads(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    out_c = tmp_path / "c"
     assert run_cli(*small_run_args(out_a, extra=("--snapshot-steps", "12"))) == 0
     assert run_cli(*small_run_args(out_b, extra=("--snapshot-steps", "12"))) == 0
-    previous = os.environ.get("MINMAXOT_THREADS")
-    os.environ["MINMAXOT_THREADS"] = "2"
-    try:
-        assert run_cli(*small_run_args(out_c, extra=("--snapshot-steps", "12"))) == 0
-    finally:
-        if previous is None:
-            del os.environ["MINMAXOT_THREADS"]
-        else:
-            os.environ["MINMAXOT_THREADS"] = previous
 
     for name in ("trajectory.csv", "particles_step12.csv", "interpolant_s0.5.csv"):
-        ref = (out_a / name).read_bytes()
-        assert (out_b / name).read_bytes() == ref, name
-        assert (out_c / name).read_bytes() == ref, name
+        assert (out_b / name).read_bytes() == (out_a / name).read_bytes(), name
     # summary matches except the wall-clock column
-    for other in (out_b, out_c):
-        head_a, row_a = (out_a / "summary.csv").read_text().splitlines()
-        head_o, row_o = (other / "summary.csv").read_text().splitlines()
-        cols = head_a.split(",")
-        a = dict(zip(cols, row_a.split(",")))
-        o = dict(zip(head_o.split(","), row_o.split(",")))
-        for col in cols:
-            if col != "wall_clock_seconds":
-                assert a[col] == o[col], col
+    head_a, row_a = (out_a / "summary.csv").read_text().splitlines()
+    head_b, row_b = (out_b / "summary.csv").read_text().splitlines()
+    cols = head_a.split(",")
+    a = dict(zip(cols, row_a.split(",")))
+    b = dict(zip(head_b.split(","), row_b.split(",")))
+    for col in cols:
+        if col != "wall_clock_seconds":
+            assert a[col] == b[col], col
 
 
 def test_config_file_layering(tmp_path):
@@ -163,6 +149,27 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     ) == 1
 
 
+def test_config_unknown_keys_rejected(tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text("scenario = gaussian_pair\nbins = 7\nstep = 3\n")
+    out = tmp_path / "typo_out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys: bins, step" in err
+    assert not out.exists()
+
+
+def test_resolved_config_feeds_back(tmp_path):
+    first = tmp_path / "first"
+    assert run_cli(*small_run_args(first, extra=("--snapshot-steps", "12"))) == 0
+    again = tmp_path / "again"
+    assert run_cli(
+        "run", "--config", str(first / "resolved_config.txt"), "--out", str(again)
+    ) == 0
+    for name in ("resolved_config.txt", "trajectory.csv", "particles_step12.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_custom_csv_scenario(tmp_path):
     rng = np.random.default_rng(0)
     mu_csv = tmp_path / "mu.csv"
@@ -193,6 +200,22 @@ def test_compare_methods_table(tmp_path):
         vals = [float(v) for v in line.split(",")[1:]]
         assert all(np.isfinite(vals))
         assert vals[3] == pytest.approx(vals[1] + vals[2], rel=1e-12)
+
+
+def test_compare_methods_reports_divergence(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise FlowDivergedError("non-finite particle coordinate at step 2")
+
+    monkeypatch.setattr(cli, "run", diverge)
+    status = run_cli(
+        "compare-methods", "--scenario", "gaussian_pair", "--out", str(tmp_path / "m"),
+        "--particles", "400", "--steps", "2", "--bins", "8",
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "error: method I: non-finite particle coordinate at step 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m" / "methods.csv").exists()
 
 
 def test_validate_response_report(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmaxot as m
-from minmaxot.density import grid_centers, worker_threads
+from minmaxot.density import grid_centers
 
 from oracles import central_fd_gradient
 
@@ -104,21 +104,6 @@ def test_refinement_keeps_binned_fraction():
         assert m.fit_histogram(pts, box, b).binned_fraction == m.fit_histogram(
             pts, box, 2 * b
         ).binned_fraction
-
-
-def test_threaded_fit_is_identical():
-    rng = np.random.default_rng(3)
-    pts = rng.random((50_000, 2))
-    a = m.fit_histogram(pts, unit_box(), 16, threads=1)
-    b = m.fit_histogram(pts, unit_box(), 16, threads=4)
-    assert np.array_equal(a.counts, b.counts)
-
-
-def test_worker_threads_env(monkeypatch):
-    monkeypatch.setenv("MINMAXOT_THREADS", "3")
-    assert worker_threads() == 3
-    monkeypatch.setenv("MINMAXOT_THREADS", "junk")
-    assert worker_threads() == 1
 
 
 def test_grad_log_ratio_zero_for_matching_uniforms():

