@@ -19,6 +19,7 @@ import numpy as np
 
 from .density import fit_histogram, kl_estimate, kl_estimate_reverse, l2_error
 from .flow import (
+    BOX_PAD_FRACTION,
     FlowDivergedError,
     Trajectory,
     TrajectoryRecorder,
@@ -27,8 +28,10 @@ from .flow import (
     run,
     save_particles_csv,
     save_trajectory_csv,
+    write_csv_rows,
 )
 from .model import (
+    Box,
     FlowConfig,
     Marginal,
     load_empirical_csv,
@@ -237,8 +240,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
         pts = interpolant(last, s)
         with open(out / f"interpolant_s{_fmt(float(s))}.csv", "w", encoding="utf-8") as fh:
             fh.write(",".join(f"x_{a + 1}" for a in range(pts.shape[1])) + "\n")
-            for p in pts:
-                fh.write(",".join(repr(float(v)) for v in p) + "\n")
+            write_csv_rows(fh, pts)
     _write_summary(out / "summary.csv", traj, cfg.seed, wall)
     return 0
 
@@ -277,10 +279,8 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
 
 def marginal_error_table(ps, mu: Marginal, nu: Marginal, bins_per_dim: int):
     """Final-state marginal errors: summed L2, forward KL, reverse KL, total."""
-    from .flow import _padded_hull
-
-    box_x = _padded_hull([ps.x1, ps.x2])
-    box_y = _padded_hull([ps.y1, ps.y2])
+    box_x = Box.hull([ps.x1, ps.x2], BOX_PAD_FRACTION)
+    box_y = Box.hull([ps.y1, ps.y2], BOX_PAD_FRACTION)
     rho1 = fit_histogram(ps.pooled_x(), box_x, bins_per_dim)
     rho2 = fit_histogram(ps.pooled_y(), box_y, bins_per_dim)
     l2 = l2_error(rho1, mu) + l2_error(rho2, nu)

@@ -4,6 +4,14 @@ The histogram is the workhorse density view of a particle cloud: counts over a
 regular grid, normalized by the total point count and cell volume, floored at
 a small positive value so logarithms stay finite. A fit costs one linear pass
 over the points plus one pass over the bins.
+
+Every point is binned through ``bin_points``, which returns its per-axis cell
+index and in-box flags. A fit is a ``bincount`` of those cells, and the
+particle flow reuses them: the frozen families are binned once per run, the
+mobile ones once per step, and the fit sums the counts of both. The
+finite-difference drift reads its field from a per-cell table (one entry per
+cell plus an outside slot holding the floor value) at the cells of the
+particles and of their one-bin moves, re-binning only the moved axis.
 """
 
 from __future__ import annotations
@@ -17,19 +25,56 @@ from .model import Box
 MAX_TOTAL_BINS = 10_000_000
 
 
-def _flat_index(box: Box, bins_per_dim: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat cell index of each point on the regular grid over ``box`` (C
-    order), and whether the point lies in the box. Out-of-box points get the
-    index of the nearest edge cell."""
+@dataclass(frozen=True)
+class GridCells:
+    """Where points fall on the regular grid over a box.
+
+    ``idx`` holds each point's per-axis cell index, clipped to the grid (an
+    out-of-box coordinate gets its nearest edge cell), and ``inside`` the
+    per-axis in-box flags. ``flat`` is the C-order flat cell of the clipped
+    index; ``slot`` is ``flat`` for points in the box and ``bins ** dim`` (the
+    outside slot of a per-cell table) for the rest.
+    """
+
+    bins_per_dim: int
+    idx: np.ndarray  # (n, d) int64
+    inside: np.ndarray  # (n, d) bool
+    flat: np.ndarray  # (n,) int64
+    slot: np.ndarray  # (n,) int64
+
+    @property
+    def n_cells(self) -> int:
+        return self.bins_per_dim ** self.idx.shape[1]
+
+
+def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> GridCells:
+    """Cells of the regular grid over ``box`` that hold ``pts`` (n, d).
+
+    A coordinate on the upper face counts as inside, in the last cell. This
+    is the one binning routine: histogram lookup, fitting and the drift
+    stencil all index through it.
+    """
     b = bins_per_dim
     scaled = (pts - box.low) / (box.widths / b)
-    inside = np.all((scaled >= 0.0) & (scaled <= b), axis=1)
+    inside = (scaled >= 0.0) & (scaled <= b)
     idx = scaled.astype(np.int64)  # floor for in-box points
     np.clip(idx, 0, b - 1, out=idx)
     flat = idx[:, 0]
     for a in range(1, box.dim):
         flat = flat * b + idx[:, a]
-    return flat, inside
+    slot = np.where(inside.all(axis=1), flat, b**box.dim)
+    return GridCells(bins_per_dim=b, idx=idx, inside=inside, flat=flat, slot=slot)
+
+
+def _shifted_slots(box: Box, cells: GridCells, axis: int, coord: np.ndarray) -> np.ndarray:
+    """Table slots of the points of ``cells`` with coordinate ``axis`` moved
+    to ``coord``. Only that axis is binned again, on the box's 1-D edge, which
+    is the same arithmetic as binning the moved points afresh."""
+    b = cells.bins_per_dim
+    moved = bin_points(Box(box.low[axis], box.high[axis]), b, coord[:, None])
+    ok = moved.inside[:, 0] & np.delete(cells.inside, axis, axis=1).all(axis=1)
+    stride = b ** (box.dim - 1 - axis)
+    return np.where(ok, cells.flat + (moved.flat - cells.idx[:, axis]) * stride, cells.n_cells)
 
 
 @dataclass(frozen=True)
@@ -89,10 +134,13 @@ class HistogramDensity:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        flat, inside = _flat_index(self.box, self.bins_per_dim, pts)
-        out = np.full(len(pts), self.floor_eps)
-        out[inside] = self.values[flat[inside]]
+        out = self.cell_values()[bin_points(self.box, self.bins_per_dim, pts).slot]
         return float(out[0]) if single else out
+
+    def cell_values(self) -> np.ndarray:
+        """Per-cell values with ``floor_eps`` appended as the outside slot, so
+        a ``GridCells.slot`` indexes it directly."""
+        return np.append(self.values, self.floor_eps)
 
     def bin_centers(self) -> np.ndarray:
         """Cell centers as an (n_bins, d) array in flat-index order."""
@@ -128,9 +176,20 @@ def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
         raise ValueError(
             f"grid of {n_bins} bins exceeds the {MAX_TOTAL_BINS} bin budget"
         )
-    flat, inside = _flat_index(box, bins_per_dim, pts)
-    counts = np.bincount(flat[inside], minlength=n_bins)
-    return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=len(pts))
+    return histogram_from_cells(box, bins_per_dim, bin_points(box, bins_per_dim, pts))
+
+
+def histogram_from_cells(box: Box, bins_per_dim: int, *cells: GridCells) -> HistogramDensity:
+    """Histogram over ``box`` of the points binned in ``cells`` (one or more
+    ``bin_points`` results on this grid, counted together).
+
+    Fitting the pooled points and summing the counts of their parts give the
+    same histogram, so parts that never move can be binned once and reused.
+    """
+    n_bins = bins_per_dim**box.dim
+    counts = sum(np.bincount(c.slot, minlength=n_bins + 1)[:n_bins] for c in cells)
+    total = sum(len(c.slot) for c in cells)
+    return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=total)
 
 
 def _ref_density(ref, pts: np.ndarray, floor: float) -> np.ndarray:
@@ -148,77 +207,88 @@ def _same_grid(h: HistogramDensity, ref) -> bool:
     )
 
 
-def _pair_values(h: HistogramDensity, ref, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram and floored reference values at pts, sharing one index pass
-    when both live on the same grid."""
-    if _same_grid(h, ref):
-        flat, inside = _flat_index(h.box, h.bins_per_dim, pts)
-        hv = np.full(len(pts), h.floor_eps)
-        rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
-        sel = flat[inside]
-        hv[inside] = h.values[sel]
-        rv[inside] = np.maximum(ref.values[sel], h.floor_eps)
-        return hv, rv
-    return h.density_at(pts), _ref_density(ref, pts, h.floor_eps)
-
-
-def _one_sided_grad(h: HistogramDensity, f, x, rng) -> np.ndarray:
-    """Random left/right one-bin differences of f, per coordinate.
+def _one_sided_grad(
+    h: HistogramDensity, ref, field, x, rng, cells: GridCells | None
+) -> np.ndarray:
+    """Random left/right one-bin differences of f = field(h, ref), per coordinate.
 
     For each coordinate i a sign s_i in {+1, -1} is drawn uniformly and the
     estimate is s_i * (f(x + s_i w_i e_i) - f(x)) / w_i with w_i the bin
     width. The histogram is constant inside a cell, so sub-bin steps would
-    see no variation at all. All stencil points are evaluated in one batch.
+    see no variation at all.
+
+    When ``ref`` is a histogram on h's grid, f is one table over the cells
+    plus the outside slot, read at the cells of x (``cells``, binned here
+    when absent) and at the cells of the moved points. Otherwise h and ref
+    are evaluated at the moved points themselves.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = pts.shape
     widths = h.bin_widths
     signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
-    stacked = np.tile(pts, (d + 1, 1))
-    for a in range(d):
-        block = stacked[(a + 1) * n : (a + 2) * n]
-        block[:, a] += signs[:, a] * widths[a]
-    vals = f(stacked)
-    f0 = vals[:n]
+    steps = signs * widths
+    if _same_grid(h, ref):
+        floor = h.floor_eps
+        table = field(
+            h.cell_values(),
+            np.append(np.maximum(ref.values, floor), max(ref.floor_eps, floor)),
+        )
+        if cells is None:
+            cells = bin_points(h.box, h.bins_per_dim, pts)
+        f0 = table[cells.slot]
+        moved = [
+            table[_shifted_slots(h.box, cells, a, pts[:, a] + steps[:, a])] for a in range(d)
+        ]
+    else:
+        def f(z):
+            return field(h.density_at(z), _ref_density(ref, z, h.floor_eps))
+
+        f0 = f(pts)
+        moved = []
+        for a in range(d):
+            z = pts.copy()
+            z[:, a] += steps[:, a]
+            moved.append(f(z))
     grad = np.empty((n, d))
     for a in range(d):
-        grad[:, a] = signs[:, a] * (vals[(a + 1) * n : (a + 2) * n] - f0) / widths[a]
+        grad[:, a] = signs[:, a] * (moved[a] - f0) / widths[a]
     return grad
 
 
-def grad_log_ratio_forward(h: HistogramDensity, ref, x, rng) -> np.ndarray:
+def _log_ratio(hv, rv):
+    return np.log(hv / rv)
+
+
+def _neg_ratio(hv, rv):
+    return -rv / hv
+
+
+def grad_log_ratio_forward(
+    h: HistogramDensity, ref, x, rng, cells: GridCells | None = None
+) -> np.ndarray:
     """Stochastic finite-difference estimate of grad log(h / ref) at x.
 
     ``ref`` is anything exposing ``density_at`` (an analytic marginal or a
     histogram fitted on the same box). This is the drift field of the
     divergence penalty that integrates the flowing density against the log
-    ratio. Accepts a single point (d,) or a batch (n, d).
+    ratio. Accepts a single point (d,) or a batch (n, d); ``cells`` may carry
+    ``bin_points(h.box, h.bins_per_dim, x)`` when the caller has it.
     """
-    single = np.asarray(x).ndim == 1
-
-    def f(pts):
-        hv, rv = _pair_values(h, ref, pts)
-        return np.log(hv / rv)
-
-    g = _one_sided_grad(h, f, x, rng)
-    return g[0] if single else g
+    g = _one_sided_grad(h, ref, _log_ratio, x, rng, cells)
+    return g[0] if np.asarray(x).ndim == 1 else g
 
 
-def grad_log_ratio_reverse(h: HistogramDensity, ref, x, rng) -> np.ndarray:
+def grad_log_ratio_reverse(
+    h: HistogramDensity, ref, x, rng, cells: GridCells | None = None
+) -> np.ndarray:
     """Stochastic finite-difference drift for the reversed divergence.
 
     The first variation of the reversed penalty (reference against flowing
     density) with respect to the density is -ref/h, so the same one-sided
     differencing is applied to f(z) = -ref(z) / h(z).
     """
-    single = np.asarray(x).ndim == 1
-
-    def f(pts):
-        hv, rv = _pair_values(h, ref, pts)
-        return -rv / hv
-
-    g = _one_sided_grad(h, f, x, rng)
-    return g[0] if single else g
+    g = _one_sided_grad(h, ref, _neg_ratio, x, rng, cells)
+    return g[0] if np.asarray(x).ndim == 1 else g
 
 
 def _ref_at_centers(h: HistogramDensity, ref) -> np.ndarray:

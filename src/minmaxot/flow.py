@@ -20,11 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import (
+    GridCells,
     HistogramDensity,
+    bin_points,
     fit_histogram,
     grad_log_ratio_forward,
     grad_log_ratio_reverse,
     grid_centers,
+    histogram_from_cells,
     kl_estimate,
     l2_error,
 )
@@ -188,12 +191,16 @@ def step_particles(
     rng: np.random.Generator,
     mu_ref=None,
     nu_ref=None,
+    x2_cells: GridCells | None = None,
+    y1_cells: GridCells | None = None,
 ) -> ParticleSystem:
     """One explicit Euler-Maruyama update of the mobile families.
 
     ``rho1`` and ``rho2`` must be fitted from the current pooled marginals.
     ``mu_ref``/``nu_ref`` override the drift's reference densities (anything
-    with ``density_at``); by default the marginals themselves are used. The
+    with ``density_at``); by default the marginals themselves are used.
+    ``x2_cells``/``y1_cells`` may carry the mobile families' cells on the
+    grids of ``rho1``/``rho2``, which the drift then does not recompute. The
     frozen families are returned untouched, bit for bit.
     """
     mu_ref = mu if mu_ref is None else mu_ref
@@ -201,8 +208,8 @@ def step_particles(
     dt = cfg.dt
     noise_std = cfg.noise_std_coeff * np.sqrt(dt)
 
-    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng)
-    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng)
+    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, cells=x2_cells)
+    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, cells=y1_cells)
 
     move_x = dt * (-cost.grad_x(ps.x2, ps.y2) - ps.lam * g_x)
     move_y = dt * (-cost.grad_y(ps.x1, ps.y1) - ps.lam * g_y)
@@ -250,14 +257,6 @@ def step_lambda(ps: ParticleSystem, kl1: float, kl2: float, cfg: FlowConfig) -> 
     )
 
 
-def _padded_hull(arrays: list[np.ndarray]) -> Box:
-    stacked = np.vstack(arrays)
-    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = BOX_PAD_FRACTION * span
-    return Box(lo - pad, hi + pad)
-
-
 def _reference_samples(marginal: Marginal, n: int, rng: np.random.Generator) -> np.ndarray:
     if marginal.kind == "empirical":
         return marginal.samples
@@ -268,9 +267,7 @@ def interpolant(ps: ParticleSystem, s: float) -> np.ndarray:
     """Displacement interpolant points (1 - s) X + s Y over both families."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("interpolation parameter must lie in [0, 1]")
-    xs = ps.pooled_x()
-    ys = np.vstack([ps.y1, ps.y2])
-    return (1.0 - s) * xs + s * ys
+    return (1.0 - s) * ps.pooled_x() + s * ps.pooled_y()
 
 
 def run(
@@ -286,7 +283,7 @@ def run(
     (KL and squared-L2 against the inputs, coupling cost), then advances the
     particles and the penalty weight. The trajectory holds ``steps + 1`` rows
     (the initial state plus one per step). Deterministic for a fixed config:
-    all randomness derives from ``cfg.seed``, independent of thread count.
+    all randomness derives from ``cfg.seed``.
 
     On a non-finite update the partial trajectory is attached to the raised
     ``FlowDivergedError``.
@@ -305,8 +302,12 @@ def run(
     # The estimation boxes cover the input samples (the frozen families, plus
     # the raw samples of empirical marginals) and every position the mobile
     # families can reach, and stay fixed for the whole run.
-    box_x = _padded_hull([ps.x1, ps.x2] + ([mu.samples] if mu.kind == "empirical" else []))
-    box_y = _padded_hull([ps.y1, ps.y2] + ([nu.samples] if nu.kind == "empirical" else []))
+    box_x = Box.hull(
+        [ps.x1, ps.x2] + ([mu.samples] if mu.kind == "empirical" else []), BOX_PAD_FRACTION
+    )
+    box_y = Box.hull(
+        [ps.y1, ps.y2] + ([nu.samples] if nu.kind == "empirical" else []), BOX_PAD_FRACTION
+    )
     b = cfg.bins_per_dim
     mu_ref = fit_histogram(mu_samples, box_x, b)
     nu_ref = fit_histogram(nu_samples, box_y, b)
@@ -330,10 +331,17 @@ def run(
         l2_2 = l2_error(rho2, nu, ref_center_values=q_nu)
         return kl1, kl2, l2_1, l2_2
 
+    # The frozen families never move: bin them once. The mobile ones are
+    # binned once per step, and their cells serve both the fit and the drift.
+    x1_cells = bin_points(box_x, b, ps.x1)
+    y2_cells = bin_points(box_y, b, ps.y2)
+
     try:
         for k in range(cfg.steps + 1):
-            rho1 = fit_histogram(ps.pooled_x(), box_x, b)
-            rho2 = fit_histogram(ps.pooled_y(), box_y, b)
+            x2_cells = bin_points(box_x, b, ps.x2)
+            y1_cells = bin_points(box_y, b, ps.y1)
+            rho1 = histogram_from_cells(box_x, b, x1_cells, x2_cells)
+            rho2 = histogram_from_cells(box_y, b, y1_cells, y2_cells)
             kl1, kl2, l2_1, l2_2 = _diagnostics(rho1, rho2)
             pair_cost = empirical_coupling_cost(ps, cost)
             recorder.record(k * cfg.dt, ps, kl1, kl2, pair_cost, l2_1, l2_2)
@@ -341,7 +349,8 @@ def run(
                 break
             step_rng = np.random.default_rng(step_ss[k])
             ps = step_particles(
-                ps, mu, nu, cost, cfg, rho1, rho2, step_rng, mu_ref=mu_ref, nu_ref=nu_ref
+                ps, mu, nu, cost, cfg, rho1, rho2, step_rng, mu_ref=mu_ref, nu_ref=nu_ref,
+                x2_cells=x2_cells, y1_cells=y1_cells,
             )
             ps = step_lambda(ps, kl1, kl2, cfg)
     except FlowDivergedError as err:
@@ -351,16 +360,24 @@ def run(
     return recorder.build()
 
 
+def write_csv_rows(fh, rows, suffix: str = "") -> None:
+    """Write the rows of a 2-D float array as CSV lines with round-trip float
+    formatting (``repr``), each line ending in ``suffix``."""
+    end = suffix + "\n"
+    rows = np.asarray(rows, dtype=float).tolist()
+    fh.writelines(",".join(map(repr, row)) + end for row in rows)
+
+
 def save_trajectory_csv(path, traj: Trajectory) -> None:
     """Write trajectory scalars with full round-trip float formatting."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,lambda,kl1,kl2,cost,l2_mu,l2_nu\n")
-        for i in range(len(traj)):
-            row = (
-                traj.t[i], traj.lam[i], traj.kl1[i], traj.kl2[i],
-                traj.cost[i], traj.l2_mu[i], traj.l2_nu[i],
-            )
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv_rows(
+            fh,
+            np.column_stack(
+                [traj.t, traj.lam, traj.kl1, traj.kl2, traj.cost, traj.l2_mu, traj.l2_nu]
+            ),
+        )
 
 
 def load_trajectory_csv(path) -> Trajectory:
@@ -380,6 +397,4 @@ def save_particles_csv(path, ps: ParticleSystem) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for fam, xs, ys in ((1, ps.x1, ps.y1), (2, ps.x2, ps.y2)):
-            for x, y in zip(xs, ys):
-                coords = [repr(float(v)) for v in x] + [repr(float(v)) for v in y]
-                fh.write(",".join(coords + [str(fam)]) + "\n")
+            write_csv_rows(fh, np.hstack([xs, ys]), suffix=f",{fam}")

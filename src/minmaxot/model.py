@@ -52,6 +52,17 @@ class Box:
     def union(self, other: "Box") -> "Box":
         return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
 
+    @classmethod
+    def hull(cls, arrays: Sequence[np.ndarray], pad_fraction: float) -> "Box":
+        """Bounding box of the stacked (n, d) point arrays, widened on each
+        side by ``pad_fraction`` of its span per axis (spans floored at 1e-9,
+        so coincident points still give a box)."""
+        stacked = np.vstack(arrays)
+        lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+        span = np.maximum(hi - lo, 1e-9)
+        pad = pad_fraction * span
+        return cls(lo - pad, hi + pad)
+
     def padded(self, fraction: float) -> "Box":
         pad = fraction * self.widths
         return Box(self.low - pad, self.high + pad)
@@ -352,9 +363,7 @@ def make_empirical(samples) -> Marginal:
         raise ValueError("empirical marginal needs at least 2 samples")
     if not np.all(np.isfinite(samples)):
         raise ValueError("empirical samples must have finite coordinates")
-    lo, hi = samples.min(axis=0), samples.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    box = Box(lo - 0.05 * span, hi + 0.05 * span)
+    box = Box.hull([samples], 0.05)
     return Marginal(kind="empirical", dim=samples.shape[1], support_box=box, samples=samples)
 
 

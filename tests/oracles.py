@@ -109,3 +109,141 @@ def dense_kernel_pass(cost, nodes_x, nodes_y, w_mu, w_nu, lam):
         "ec_row": ck @ w_nu,
         "ec_col": w_mu @ ck,
     }
+
+
+# --- Reference histogram pipeline -------------------------------------------
+# The binning, fit and drift stencil as they stood before the particle flow
+# shared cell indices between them: every query bins its points afresh, and
+# the stencil evaluates f on a tiled (d + 1) n x d array of the points and
+# their one-bin moves.
+
+
+def reference_flat_index(box, bins_per_dim, pts):
+    """Flat C-order cell of each point and whether it lies in the box (upper
+    face inside); out-of-box points get the index of the nearest edge cell."""
+    b = bins_per_dim
+    scaled = (pts - box.low) / (box.widths / b)
+    inside = np.all((scaled >= 0.0) & (scaled <= b), axis=1)
+    idx = scaled.astype(np.int64)
+    np.clip(idx, 0, b - 1, out=idx)
+    flat = idx[:, 0]
+    for a in range(1, box.dim):
+        flat = flat * b + idx[:, a]
+    return flat, inside
+
+
+def reference_counts(points, box, bins_per_dim):
+    """Cell counts of the points that fall in the box."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    flat, inside = reference_flat_index(box, bins_per_dim, pts)
+    return np.bincount(flat[inside], minlength=bins_per_dim**box.dim)
+
+
+def reference_density_at(h, pts):
+    """Histogram value at each point, floor_eps outside the box."""
+    flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
+    out = np.full(len(pts), h.floor_eps)
+    out[inside] = h.values[flat[inside]]
+    return out
+
+
+def _reference_pair_values(h, ref, pts):
+    from minmaxot.density import HistogramDensity
+
+    same_grid = (
+        isinstance(ref, HistogramDensity)
+        and ref.bins_per_dim == h.bins_per_dim
+        and np.array_equal(ref.box.low, h.box.low)
+        and np.array_equal(ref.box.high, h.box.high)
+    )
+    if same_grid:
+        flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
+        hv = np.full(len(pts), h.floor_eps)
+        rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
+        sel = flat[inside]
+        hv[inside] = h.values[sel]
+        rv[inside] = np.maximum(ref.values[sel], h.floor_eps)
+        return hv, rv
+    rv = np.maximum(np.atleast_1d(ref.density_at(pts)), h.floor_eps)
+    return reference_density_at(h, pts), rv
+
+
+def reference_drift(h, ref, x, rng, variant):
+    """Random one-sided one-bin differences of log(h/ref) ("forward") or
+    -ref/h ("reverse"), all stencil points evaluated in one tiled batch."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    n, d = pts.shape
+    widths = h.bin_widths
+    signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
+    stacked = np.tile(pts, (d + 1, 1))
+    for a in range(d):
+        block = stacked[(a + 1) * n : (a + 2) * n]
+        block[:, a] += signs[:, a] * widths[a]
+    hv, rv = _reference_pair_values(h, ref, stacked)
+    vals = np.log(hv / rv) if variant == "forward" else -rv / hv
+    f0 = vals[:n]
+    grad = np.empty((n, d))
+    for a in range(d):
+        grad[:, a] = signs[:, a] * (vals[(a + 1) * n : (a + 2) * n] - f0) / widths[a]
+    return grad
+
+
+def reference_run(mu, nu, cost, cfg):
+    """For analytic marginals, the particle flow loop written out with the reference binning and
+    stencil: per step, fit the pooled marginals, record the diagnostics,
+    take the Euler-Maruyama step and the penalty ascent step. Returns the
+    trajectory columns (t, lambda, kl1, kl2, cost, l2_mu, l2_nu) as one
+    (steps + 1, 7) array and the final (x1, y1, x2, y2, lambda)."""
+    import minmaxot as m
+    from minmaxot.density import grid_centers
+    from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
+
+    root = np.random.SeedSequence(cfg.seed)
+    init_ss, ref_ss, *step_ss = root.spawn(cfg.steps + 2)
+    ps = m.init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
+    ref_rng = np.random.default_rng(ref_ss)
+    mu_samples = mu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
+    nu_samples = nu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
+    b = cfg.bins_per_dim
+    box_x = m.Box.hull([ps.x1, ps.x2], BOX_PAD_FRACTION)
+    box_y = m.Box.hull([ps.y1, ps.y2], BOX_PAD_FRACTION)
+
+    def fit(points, box):
+        counts = reference_counts(points, box, b)
+        return m.HistogramDensity(box=box, bins_per_dim=b, counts=counts, total=len(points))
+
+    mu_ref, nu_ref = fit(mu_samples, box_x), fit(nu_samples, box_y)
+    def center_values(marginal, box):
+        floor = 1e-10 / float(np.prod(box.widths / b))
+        return np.maximum(marginal.density_at(grid_centers(box, b)), floor)
+
+    q_mu, q_nu = center_values(mu, box_x), center_values(nu, box_y)
+
+    x1, y1, x2, y2, lam = ps.x1, ps.y1, ps.x2, ps.y2, ps.lam
+    rows = []
+    noise_std = cfg.noise_std_coeff * np.sqrt(cfg.dt)
+    for k in range(cfg.steps + 1):
+        rho1 = fit(np.vstack([x1, x2]), box_x)
+        rho2 = fit(np.vstack([y1, y2]), box_y)
+        kl1 = m.kl_estimate(rho1, mu, ref_center_values=q_mu)
+        kl2 = m.kl_estimate(rho2, nu, ref_center_values=q_nu)
+        l2_1 = m.l2_error(rho1, mu, ref_center_values=q_mu)
+        l2_2 = m.l2_error(rho2, nu, ref_center_values=q_nu)
+        c1, c2 = cost.evaluate(x1, y1), cost.evaluate(x2, y2)
+        pair_cost = float((np.sum(c1) + np.sum(c2)) / (len(x1) + len(x2)))
+        rows.append((k * cfg.dt, lam, kl1, kl2, pair_cost, l2_1, l2_2))
+        if k == cfg.steps:
+            break
+        rng = np.random.default_rng(step_ss[k])
+        g_x = reference_drift(rho1, mu_ref, x2, rng, cfg.kl_variant_x)
+        g_y = reference_drift(rho2, nu_ref, y1, rng, cfg.kl_variant_y)
+        move_x = cfg.dt * (-cost.grad_x(x2, y2) - lam * g_x)
+        move_y = cfg.dt * (-cost.grad_y(x1, y1) - lam * g_y)
+        np.clip(move_x, -rho1.bin_widths, rho1.bin_widths, out=move_x)
+        np.clip(move_y, -rho2.bin_widths, rho2.bin_widths, out=move_y)
+        x2 = x2 + move_x + noise_std * rng.standard_normal(x2.shape)
+        y1 = y1 + move_y + noise_std * rng.standard_normal(y1.shape)
+        np.clip(x2, box_x.low, box_x.high, out=x2)
+        np.clip(y1, box_y.low, box_y.high, out=y1)
+        lam = lam + cfg.beta * cfg.dt * (kl1 + kl2)
+    return np.array(rows, dtype=float), (x1, y1, x2, y2, lam)

@@ -282,13 +282,13 @@ def test_criterion_10_fixed_penalty_descent(gaussian_pair, cost):
     root = np.random.SeedSequence(cfg.seed)
     init_ss, ref_ss, *step_ss = root.spawn(cfg.steps + 2)
     ps = m.init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
-    from minmaxot.flow import REF_SAMPLE_FACTOR, _padded_hull
+    from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
 
     ref_rng = np.random.default_rng(ref_ss)
     mu_samples = mu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
     nu_samples = nu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    box_x = _padded_hull([ps.x1, ps.x2, mu_samples])
-    box_y = _padded_hull([ps.y1, ps.y2, nu_samples])
+    box_x = m.Box.hull([ps.x1, ps.x2, mu_samples], BOX_PAD_FRACTION)
+    box_y = m.Box.hull([ps.y1, ps.y2, nu_samples], BOX_PAD_FRACTION)
     mu_ref = m.fit_histogram(mu_samples, box_x, cfg.bins_per_dim)
     nu_ref = m.fit_histogram(nu_samples, box_y, cfg.bins_per_dim)
 

@@ -1,0 +1,145 @@
+"""The shared-cell histogram pipeline against the reference pipeline in
+``oracles``, which bins every query afresh and evaluates the drift stencil on
+a tiled array. The two must agree bit for bit: cells, counts, drifts, and a
+whole run of the particle flow."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import minmaxot as m
+from minmaxot.cli import ExperimentSpec, resolve_flow_config, scenario_marginals
+from minmaxot.density import bin_points, histogram_from_cells
+
+from oracles import (
+    reference_counts,
+    reference_density_at,
+    reference_drift,
+    reference_flat_index,
+    reference_run,
+)
+
+
+@st.composite
+def grids(draw):
+    """A random box in 1-D or 2-D and a bin count from 2 to 30."""
+    d = draw(st.integers(1, 2))
+    low = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(d)])
+    width = np.array([draw(st.floats(0.05, 10.0)) for _ in range(d)])
+    return m.Box(low, low + width), draw(st.integers(2, 30))
+
+
+def probe_points(box, b, rng, n):
+    """Points whose coordinates are, at random per axis: inside the box,
+    outside it (up to one box width), exactly on the low or the high face,
+    or on an interior grid line."""
+    d = box.dim
+    u = rng.random((n, d))
+    w = box.widths
+    inside = box.low + u * w
+    outside = np.where(u < 0.5, box.low - (0.5 - u) * 2 * w, box.high + (u - 0.5) * 2 * w)
+    low = np.broadcast_to(box.low, (n, d))
+    high = np.broadcast_to(box.high, (n, d))
+    line = box.low + rng.integers(1, b, size=(n, d)) * (w / b)
+    kind = rng.integers(0, 5, size=(n, d))
+    return np.choose(kind, [inside, outside, low, high, line])
+
+
+def clustered_fit(box, b, rng, n=300):
+    """Histogram of points bunched in part of the box, so some cells are
+    empty and sit at the floor."""
+    centre = box.low + rng.random(box.dim) * box.widths
+    pts = centre + 0.3 * box.widths * rng.standard_normal((n, box.dim))
+    return m.fit_histogram(pts, box, b)
+
+
+def references(box, b, rng):
+    """A same-grid histogram, a histogram on another grid, and an analytic
+    Gaussian centred in the box."""
+    centre = box.low + 0.5 * box.widths
+    gaussian = m.make_gaussian(centre, np.diag((box.widths / 3.0) ** 2))
+    return {
+        "same_grid": clustered_fit(box, b, rng),
+        "other_grid": clustered_fit(box, b + 1, rng),
+        "analytic": gaussian,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_bin_points_matches_reference_index(grid, seed):
+    box, b = grid
+    pts = probe_points(box, b, np.random.default_rng(seed), 60)
+    cells = bin_points(box, b, pts)
+    flat, inside = reference_flat_index(box, b, pts)
+    assert np.array_equal(cells.flat, flat)
+    assert np.array_equal(cells.inside.all(axis=1), inside)
+    assert np.array_equal(cells.slot, np.where(inside, flat, b**box.dim))
+    h = clustered_fit(box, b, np.random.default_rng(seed + 1))
+    assert h.density_at(pts).tobytes() == reference_density_at(h, pts).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=grids(),
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(["forward", "reverse"]),
+    ref_kind=st.sampled_from(["same_grid", "other_grid", "analytic"]),
+)
+def test_drift_matches_reference_stencil(grid, seed, variant, ref_kind):
+    box, b = grid
+    rng = np.random.default_rng(seed)
+    x = probe_points(box, b, rng, 60)
+    h = clustered_fit(box, b, rng)
+    ref = references(box, b, rng)[ref_kind]
+    drift = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
+
+    expected_rng = np.random.default_rng(seed)
+    expected = reference_drift(h, ref, x, expected_rng, variant)
+    for cells in (None, bin_points(box, b, x)):
+        got_rng = np.random.default_rng(seed)
+        got = drift(h, ref, x, got_rng, cells=cells)
+        assert got.tobytes() == expected.tobytes()
+        # the same random draws were consumed
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_fit_from_cells_matches_pooled_fit(grid, seed):
+    box, b = grid
+    rng = np.random.default_rng(seed)
+    frozen = probe_points(box, b, rng, 40)
+    mobile = probe_points(box, b, rng, 40)
+    pooled = np.vstack([frozen, mobile])
+    fitted = m.fit_histogram(pooled, box, b)
+    from_cells = histogram_from_cells(
+        box, b, bin_points(box, b, frozen), bin_points(box, b, mobile)
+    )
+    assert np.array_equal(from_cells.counts, fitted.counts)
+    assert np.array_equal(from_cells.counts, reference_counts(pooled, box, b))
+    assert from_cells.total == fitted.total == len(pooled)
+    assert from_cells.values.tobytes() == fitted.values.tobytes()
+
+
+@pytest.mark.parametrize("scenario,method", [("gaussian_pair", "I"), ("ring_to_mixture", "II")])
+def test_run_matches_reference_loop(scenario, method, cost):
+    flow = resolve_flow_config(scenario, {}, {"n_pairs": 1000, "steps": 30, "seed": 0})
+    spec = ExperimentSpec(scenario=scenario, method=method, flow=flow, outputs="unused")
+    mu, nu = scenario_marginals(spec)
+    variant_x, variant_y = m.method_preset(method)
+    cfg = dataclasses.replace(flow, kl_variant_x=variant_x, kl_variant_y=variant_y)
+
+    traj = m.run(mu, nu, cost, cfg, recorder=m.TrajectoryRecorder(snapshot_steps=(cfg.steps,)))
+    rows, (x1, y1, x2, y2, lam) = reference_run(mu, nu, cost, cfg)
+
+    columns = ("t", "lam", "kl1", "kl2", "cost", "l2_mu", "l2_nu")
+    for i, name in enumerate(columns):
+        assert getattr(traj, name).tobytes() == rows[:, i].tobytes(), name
+    final = traj.snapshots[cfg.steps]
+    for name, want in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
+        assert getattr(final, name).tobytes() == want.tobytes(), name
+    assert final.lam == lam

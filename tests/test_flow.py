@@ -194,13 +194,13 @@ def test_fixed_penalty_descent_window(gaussian_pair, cost):
     rng_root = np.random.SeedSequence(cfg.seed)
     init_ss, ref_ss, *step_ss = rng_root.spawn(cfg.steps + 2)
     ps = m.init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
-    from minmaxot.flow import REF_SAMPLE_FACTOR, _padded_hull
+    from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
 
     ref_rng = np.random.default_rng(ref_ss)
     mu_samples = mu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
     nu_samples = nu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    box_x = _padded_hull([ps.x1, ps.x2, mu_samples])
-    box_y = _padded_hull([ps.y1, ps.y2, nu_samples])
+    box_x = m.Box.hull([ps.x1, ps.x2, mu_samples], BOX_PAD_FRACTION)
+    box_y = m.Box.hull([ps.y1, ps.y2, nu_samples], BOX_PAD_FRACTION)
     mu_ref = m.fit_histogram(mu_samples, box_x, cfg.bins_per_dim)
     nu_ref = m.fit_histogram(nu_samples, box_y, cfg.bins_per_dim)
 
@@ -268,3 +268,23 @@ def test_particles_csv_schema(tmp_path, gaussian_pair):
     assert len(lines) == 1 + 6
     fams = [int(line.split(",")[-1]) for line in lines[1:]]
     assert fams == [1, 1, 1, 2, 2, 2]
+
+
+def test_csv_rows_use_round_trip_repr():
+    import io
+
+    from minmaxot.flow import write_csv_rows
+
+    rows = np.array([
+        [0.1, -0.0, 1 / 3, 5e-324],
+        [1.7976931348623157e308, np.nan, np.inf, -np.inf],
+        [1e-300, -2.5, 0.0, 123456789.125],
+    ])
+    fh = io.StringIO()
+    write_csv_rows(fh, rows, suffix=",2")
+    expected = "".join(
+        ",".join(repr(float(v)) for v in row) + ",2\n" for row in rows
+    )
+    assert fh.getvalue() == expected
+    back = np.loadtxt(io.StringIO(fh.getvalue()), delimiter=",")[:, :4]
+    assert back.tobytes() == rows.tobytes()

@@ -207,3 +207,20 @@ def test_box_validation():
     box = m.Box(np.array([0.0]), np.array([2.0]))
     assert box.volume == 2.0
     assert box.padded(0.5).widths[0] == pytest.approx(4.0)
+
+
+def test_box_hull_pads_the_stacked_span():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(50, 2)), rng.normal(3.0, 1.0, size=(20, 2))
+    box = m.Box.hull([a, b], 0.1)
+    stacked = np.vstack([a, b])
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    assert box.low.tobytes() == (lo - pad).tobytes()
+    assert box.high.tobytes() == (hi + pad).tobytes()
+    # coincident points: the span is floored, so the box still has extent
+    point = m.Box.hull([np.full((3, 2), 0.5)], 0.05)
+    assert np.array_equal(point.low, 0.5 - 0.05 * np.full(2, 1e-9))
+    assert np.array_equal(point.high, 0.5 + 0.05 * np.full(2, 1e-9))
+    # the support box of an empirical marginal is its samples' hull, padded 5%
+    assert np.array_equal(m.make_empirical(a).support_box.low, m.Box.hull([a], 0.05).low)
