@@ -130,19 +130,7 @@ def read_config_file(path) -> dict:
     return values
 
 
-_FLOW_KEY_TYPES = {
-    "n_pairs": int,
-    "dt": float,
-    "beta": float,
-    "steps": int,
-    "noise_std_coeff": float,
-    "lambda0": float,
-    "eta_var": float,
-    "kl_variant_x": str,
-    "kl_variant_y": str,
-    "bins_per_dim": int,
-    "seed": int,
-}
+_FLOW_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(FlowConfig)}
 
 
 # Keys a --config file may set: the flow settings plus the experiment fields
@@ -394,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot-steps", type=str, default="", help="comma-separated step indices"
     )
     p_run.add_argument(
-        "--interpolant-s", type=str, default="0.25,0.5,0.75", help="comma-separated s values"
+        "--interpolant-s", type=str, default=None,
+        help="comma-separated s values (default 0.25,0.5,0.75)",
     )
 
     p_cmp = sub.add_parser("compare-methods", help="run methods I, II, III with one seed")

@@ -8,10 +8,14 @@ over the points plus one pass over the bins.
 Every point is binned through ``bin_points``, which returns its per-axis cell
 index and in-box flags. A fit is a ``bincount`` of those cells, and the
 particle flow reuses them: the frozen families are binned once per run, the
-mobile ones once per step, and the fit sums the counts of both. The
-finite-difference drift reads its field from a per-cell table (one entry per
-cell plus an outside slot holding the floor value) at the cells of the
-particles and of their one-bin moves, re-binning only the moved axis.
+mobile ones once per step, and the fit sums the counts of both.
+
+The drift differentiates the penalty's first variation, log(h/ref) or
+-ref/h, where h is the flowing histogram and ref a reference histogram on
+the same grid. Both are piecewise constant on the same cells, so the field is
+one table (one entry per cell plus an outside slot holding the floor value),
+read at the cells of the particles and of their one-bin moves, re-binning
+only the moved axis.
 """
 
 from __future__ import annotations
@@ -142,10 +146,6 @@ class HistogramDensity:
         a ``GridCells.slot`` indexes it directly."""
         return np.append(self.values, self.floor_eps)
 
-    def bin_centers(self) -> np.ndarray:
-        """Cell centers as an (n_bins, d) array in flat-index order."""
-        return grid_centers(self.box, self.bins_per_dim)
-
 
 def grid_centers(box: Box, bins_per_dim: int) -> np.ndarray:
     """Cell centers of a regular grid over ``box``, in flat-index order."""
@@ -192,66 +192,38 @@ def histogram_from_cells(box: Box, bins_per_dim: int, *cells: GridCells) -> Hist
     return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=total)
 
 
-def _ref_density(ref, pts: np.ndarray, floor: float) -> np.ndarray:
-    """Reference density values floored for safe logarithms and ratios."""
-    vals = ref.density_at(pts)
-    return np.maximum(np.atleast_1d(vals), floor)
-
-
-def _same_grid(h: HistogramDensity, ref) -> bool:
-    return (
+def _check_same_grid(h: HistogramDensity, ref) -> None:
+    if not (
         isinstance(ref, HistogramDensity)
         and ref.bins_per_dim == h.bins_per_dim
         and np.array_equal(ref.box.low, h.box.low)
         and np.array_equal(ref.box.high, h.box.high)
-    )
+    ):
+        raise ValueError("the drift's reference must be a histogram on h's grid")
 
 
 def _one_sided_grad(
-    h: HistogramDensity, ref, field, x, rng, cells: GridCells | None
+    h: HistogramDensity, ref: HistogramDensity, field, x, rng, cells: GridCells
 ) -> np.ndarray:
     """Random left/right one-bin differences of f = field(h, ref), per coordinate.
 
     For each coordinate i a sign s_i in {+1, -1} is drawn uniformly and the
     estimate is s_i * (f(x + s_i w_i e_i) - f(x)) / w_i with w_i the bin
-    width. The histogram is constant inside a cell, so sub-bin steps would
-    see no variation at all.
-
-    When ``ref`` is a histogram on h's grid, f is one table over the cells
-    plus the outside slot, read at the cells of x (``cells``, binned here
-    when absent) and at the cells of the moved points. Otherwise h and ref
-    are evaluated at the moved points themselves.
+    width. The histograms are constant inside a cell, so sub-bin steps would
+    see no variation at all. f is one table over the cells plus the outside
+    slot, read at the cells of x and at the cells of the moved points.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    _check_same_grid(h, ref)
+    pts = np.asarray(x, dtype=float)
     n, d = pts.shape
     widths = h.bin_widths
     signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
-    steps = signs * widths
-    if _same_grid(h, ref):
-        floor = h.floor_eps
-        table = field(
-            h.cell_values(),
-            np.append(np.maximum(ref.values, floor), max(ref.floor_eps, floor)),
-        )
-        if cells is None:
-            cells = bin_points(h.box, h.bins_per_dim, pts)
-        f0 = table[cells.slot]
-        moved = [
-            table[_shifted_slots(h.box, cells, a, pts[:, a] + steps[:, a])] for a in range(d)
-        ]
-    else:
-        def f(z):
-            return field(h.density_at(z), _ref_density(ref, z, h.floor_eps))
-
-        f0 = f(pts)
-        moved = []
-        for a in range(d):
-            z = pts.copy()
-            z[:, a] += steps[:, a]
-            moved.append(f(z))
+    table = field(h.cell_values(), ref.cell_values())
+    f0 = table[cells.slot]
     grad = np.empty((n, d))
     for a in range(d):
-        grad[:, a] = signs[:, a] * (moved[a] - f0) / widths[a]
+        moved = table[_shifted_slots(h.box, cells, a, pts[:, a] + signs[:, a] * widths[a])]
+        grad[:, a] = signs[:, a] * (moved - f0) / widths[a]
     return grad
 
 
@@ -264,35 +236,35 @@ def _neg_ratio(hv, rv):
 
 
 def grad_log_ratio_forward(
-    h: HistogramDensity, ref, x, rng, cells: GridCells | None = None
+    h: HistogramDensity, ref: HistogramDensity, x, rng, cells: GridCells
 ) -> np.ndarray:
-    """Stochastic finite-difference estimate of grad log(h / ref) at x.
+    """Stochastic finite-difference estimate of grad log(h / ref) at the
+    points x (n, d), whose cells are ``bin_points(h.box, h.bins_per_dim, x)``.
 
-    ``ref`` is anything exposing ``density_at`` (an analytic marginal or a
-    histogram fitted on the same box). This is the drift field of the
-    divergence penalty that integrates the flowing density against the log
-    ratio. Accepts a single point (d,) or a batch (n, d); ``cells`` may carry
-    ``bin_points(h.box, h.bins_per_dim, x)`` when the caller has it.
+    ``ref`` must be a histogram on h's grid; anything else raises
+    ``ValueError``. This is the drift field of the divergence penalty that
+    integrates the flowing density against the log ratio.
     """
-    g = _one_sided_grad(h, ref, _log_ratio, x, rng, cells)
-    return g[0] if np.asarray(x).ndim == 1 else g
+    return _one_sided_grad(h, ref, _log_ratio, x, rng, cells)
 
 
 def grad_log_ratio_reverse(
-    h: HistogramDensity, ref, x, rng, cells: GridCells | None = None
+    h: HistogramDensity, ref: HistogramDensity, x, rng, cells: GridCells
 ) -> np.ndarray:
     """Stochastic finite-difference drift for the reversed divergence.
 
     The first variation of the reversed penalty (reference against flowing
     density) with respect to the density is -ref/h, so the same one-sided
-    differencing is applied to f(z) = -ref(z) / h(z).
+    differencing is applied to f = -ref / h. Arguments as for
+    ``grad_log_ratio_forward``.
     """
-    g = _one_sided_grad(h, ref, _neg_ratio, x, rng, cells)
-    return g[0] if np.asarray(x).ndim == 1 else g
+    return _one_sided_grad(h, ref, _neg_ratio, x, rng, cells)
 
 
-def _ref_at_centers(h: HistogramDensity, ref) -> np.ndarray:
-    return _ref_density(ref, h.bin_centers(), h.floor_eps)
+def reference_at_centers(h: HistogramDensity, ref) -> np.ndarray:
+    """Values of ``ref`` (anything with ``density_at``) at the cell centers of
+    h's grid, in flat-index order, floored at h's floor."""
+    return np.maximum(ref.density_at(grid_centers(h.box, h.bins_per_dim)), h.floor_eps)
 
 
 def kl_estimate(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
@@ -300,10 +272,10 @@ def kl_estimate(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | N
 
     Midpoint rule on the histogram grid: sum over occupied bins of
     p log(p / q) * cell_volume with q the reference at the bin center,
-    floored; clamped below at 0. ``ref_center_values`` may carry precomputed
-    reference values at ``p_hist.bin_centers()``.
+    floored; clamped below at 0. ``ref_center_values`` may carry
+    ``reference_at_centers(p_hist, ref)``, computed once.
     """
-    q = _ref_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
+    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
     p = p_hist.values
     occupied = p > p_hist.floor_eps
     kl = float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])) * p_hist.cell_volume)
@@ -312,7 +284,7 @@ def kl_estimate(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | N
 
 def kl_estimate_reverse(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
     """Plug-in KL of the reference against the histogram, on the same grid."""
-    q = _ref_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
+    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
     p = p_hist.values
     kl = float(np.sum(q * np.log(q / p)) * p_hist.cell_volume)
     return max(kl, 0.0)
@@ -320,5 +292,5 @@ def kl_estimate_reverse(p_hist: HistogramDensity, ref, ref_center_values: np.nda
 
 def l2_error(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
     """Squared L2 distance between the histogram and the reference at bin centers."""
-    q = _ref_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
+    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
     return float(np.sum((p_hist.values - q) ** 2) * p_hist.cell_volume)

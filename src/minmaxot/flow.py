@@ -6,8 +6,9 @@ x side on source samples and moves the y side; family 2 freezes its y side
 on target samples and moves the x side. Pooling the x (resp. y) coordinates
 of both families gives the flowing first (resp. second) marginal.
 
-The drift's density references are histogram estimates fitted from samples
-of the inputs on the same grid as the flowing marginals; ratios of two
+The drift's density references are histograms on the same grid as the
+flowing marginals, fitted from ``REF_SAMPLE_FACTOR * n_pairs`` draws of an
+analytic input or from all the samples of an empirical one; ratios of two
 same-grid histograms stay bounded where data exists, which keeps the
 finite-difference drift stable. Per-step drift displacement is capped at one
 bin width per axis and particles are clamped to the (fixed) estimation box.
@@ -26,10 +27,10 @@ from .density import (
     fit_histogram,
     grad_log_ratio_forward,
     grad_log_ratio_reverse,
-    grid_centers,
     histogram_from_cells,
     kl_estimate,
     l2_error,
+    reference_at_centers,
 )
 from .model import Box, CostFunction, FlowConfig, Marginal
 from .oracle import empirical_coupling_cost
@@ -182,34 +183,29 @@ def _drift_estimator(variant: str):
 
 def step_particles(
     ps: ParticleSystem,
-    mu: Marginal,
-    nu: Marginal,
+    mu_ref: HistogramDensity,
+    nu_ref: HistogramDensity,
     cost: CostFunction,
     cfg: FlowConfig,
     rho1: HistogramDensity,
     rho2: HistogramDensity,
     rng: np.random.Generator,
-    mu_ref=None,
-    nu_ref=None,
-    x2_cells: GridCells | None = None,
-    y1_cells: GridCells | None = None,
+    x2_cells: GridCells,
+    y1_cells: GridCells,
 ) -> ParticleSystem:
     """One explicit Euler-Maruyama update of the mobile families.
 
-    ``rho1`` and ``rho2`` must be fitted from the current pooled marginals.
-    ``mu_ref``/``nu_ref`` override the drift's reference densities (anything
-    with ``density_at``); by default the marginals themselves are used.
-    ``x2_cells``/``y1_cells`` may carry the mobile families' cells on the
-    grids of ``rho1``/``rho2``, which the drift then does not recompute. The
-    frozen families are returned untouched, bit for bit.
+    ``rho1`` and ``rho2`` must be fitted from the current pooled marginals,
+    and ``mu_ref``/``nu_ref`` are the drift's reference histograms on their
+    grids. ``x2_cells``/``y1_cells`` are the mobile families' cells on those
+    grids (``bin_points``). The frozen families are returned untouched, bit
+    for bit.
     """
-    mu_ref = mu if mu_ref is None else mu_ref
-    nu_ref = nu if nu_ref is None else nu_ref
     dt = cfg.dt
     noise_std = cfg.noise_std_coeff * np.sqrt(dt)
 
-    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, cells=x2_cells)
-    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, cells=y1_cells)
+    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, x2_cells)
+    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, y1_cells)
 
     move_x = dt * (-cost.grad_x(ps.x2, ps.y2) - ps.lam * g_x)
     move_y = dt * (-cost.grad_y(ps.x1, ps.y1) - ps.lam * g_y)
@@ -219,9 +215,8 @@ def step_particles(
     np.clip(move_x, -rho1.bin_widths, rho1.bin_widths, out=move_x)
     np.clip(move_y, -rho2.bin_widths, rho2.bin_widths, out=move_y)
 
-    n = ps.n_pairs
-    x2 = ps.x2 + move_x + noise_std * rng.standard_normal((n, mu.dim))
-    y1 = ps.y1 + move_y + noise_std * rng.standard_normal((n, nu.dim))
+    x2 = ps.x2 + move_x + noise_std * rng.standard_normal(ps.x2.shape)
+    y1 = ps.y1 + move_y + noise_std * rng.standard_normal(ps.y1.shape)
     np.clip(x2, rho1.box.low, rho1.box.high, out=x2)
     np.clip(y1, rho2.box.low, rho2.box.high, out=y1)
 
@@ -314,15 +309,8 @@ def run(
 
     # Diagnostics compare against the analytic density when there is one,
     # otherwise against the sample-based reference histogram.
-    def _center_values(box: Box, marginal: Marginal, ref_hist: HistogramDensity):
-        centers = grid_centers(box, b)
-        floor = 1e-10 / float(np.prod(box.widths / b))
-        if marginal.kind == "analytic":
-            return np.maximum(marginal.density_at(centers), floor)
-        return np.maximum(ref_hist.density_at(centers), floor)
-
-    q_mu = _center_values(box_x, mu, mu_ref)
-    q_nu = _center_values(box_y, nu, nu_ref)
+    q_mu = reference_at_centers(mu_ref, mu if mu.kind == "analytic" else mu_ref)
+    q_nu = reference_at_centers(nu_ref, nu if nu.kind == "analytic" else nu_ref)
 
     def _diagnostics(rho1, rho2):
         kl1 = kl_estimate(rho1, mu, ref_center_values=q_mu)
@@ -349,8 +337,7 @@ def run(
                 break
             step_rng = np.random.default_rng(step_ss[k])
             ps = step_particles(
-                ps, mu, nu, cost, cfg, rho1, rho2, step_rng, mu_ref=mu_ref, nu_ref=nu_ref,
-                x2_cells=x2_cells, y1_cells=y1_cells,
+                ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, step_rng, x2_cells, y1_cells
             )
             ps = step_lambda(ps, kl1, kl2, cfg)
     except FlowDivergedError as err:

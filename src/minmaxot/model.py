@@ -1,7 +1,7 @@
 """Domain types: marginal distributions, cost functions, flow configuration.
 
-Marginals are probability measures on R^d, either analytic (with a density,
-a log-density gradient and a sampler) or empirical (a bag of sample points).
+Marginals are probability measures on R^d, either analytic (with a density
+and a sampler) or empirical (a bag of sample points).
 All objects here are immutable after construction and safe to share between
 threads; samplers take an explicit ``numpy.random.Generator``.
 """
@@ -80,16 +80,15 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
 class Marginal:
     """A probability measure on R^d.
 
-    For analytic marginals, ``density_at`` and ``grad_log_density`` accept a
-    single point (d,) or a batch (n, d). Empirical marginals carry only raw
-    samples; any density view of them comes from a fitted histogram.
+    For analytic marginals, ``density_at`` accepts a single point (d,) or a
+    batch (n, d). Empirical marginals carry only raw samples; any density
+    view of them comes from a fitted histogram.
     """
 
     kind: str  # "analytic" | "empirical"
     dim: int
     support_box: Box
     _density: Callable | None = field(default=None, repr=False)
-    _grad_log: Callable | None = field(default=None, repr=False)
     _sampler: Callable | None = field(default=None, repr=False)
     samples: np.ndarray | None = None
 
@@ -102,13 +101,6 @@ class Marginal:
         pts, single = _as_points(x)
         out = self._density(pts)
         return float(out[0]) if single else out
-
-    def grad_log_density(self, x):
-        if self._grad_log is None:
-            raise ValueError("marginal does not provide a log-density gradient")
-        pts, single = _as_points(x)
-        out = self._grad_log(pts)
-        return out[0] if single else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self._sampler is not None:
@@ -189,9 +181,6 @@ def make_gaussian(mean, covariance) -> Marginal:
         quad = np.einsum("ni,ij,nj->n", z, cov_inv, z)
         return np.exp(log_norm - 0.5 * quad)
 
-    def grad_log(pts):
-        return -(pts - mean) @ cov_inv.T
-
     def sampler(n, rng):
         z = rng.standard_normal((n, d))
         return z @ chol.T + mean
@@ -201,7 +190,6 @@ def make_gaussian(mean, covariance) -> Marginal:
         dim=d,
         support_box=box,
         _density=density,
-        _grad_log=grad_log,
         _sampler=sampler,
     )
 
@@ -233,15 +221,6 @@ def make_mixture(components: Sequence[tuple[float, Marginal]]) -> Marginal:
             acc += w * m._density(pts)
         return acc
 
-    def grad_log(pts):
-        num = np.zeros((len(pts), d))
-        den = np.zeros(len(pts))
-        for w, m in zip(weights, parts):
-            p = w * m._density(pts)
-            num += p[:, None] * m._grad_log(pts)
-            den += p
-        return num / np.maximum(den, 1e-300)[:, None]
-
     def sampler(n, rng):
         choice = rng.choice(len(parts), size=n, p=weights)
         out = np.empty((n, d))
@@ -257,7 +236,6 @@ def make_mixture(components: Sequence[tuple[float, Marginal]]) -> Marginal:
         dim=d,
         support_box=box,
         _density=density,
-        _grad_log=grad_log,
         _sampler=sampler,
     )
 
@@ -307,16 +285,6 @@ def make_ring_peak(
     def density(pts):
         return w_p * _peak(pts) + (1.0 - w_p) * _ring(pts)
 
-    def grad_log(pts):
-        radii = np.sqrt((pts**2).sum(axis=1))
-        safe = np.maximum(radii, 1e-12)
-        peak = w_p * _peak(pts)
-        ring = (1.0 - w_p) * _ring(pts)
-        grad_peak = peak[:, None] * (-pts / s_p**2)
-        grad_ring = ring[:, None] * (-((radii - r) / s_r**2) / safe)[:, None] * pts
-        total = np.maximum(peak + ring, 1e-300)
-        return (grad_peak + grad_ring) / total[:, None]
-
     def _sample_radius(n, rng):
         # Rejection on the radius law f(u) ~ u exp(-(u-r)^2 / (2 s_r^2)), u in [0, u_hi].
         out = np.empty(n)
@@ -351,7 +319,6 @@ def make_ring_peak(
         dim=2,
         support_box=box,
         _density=density,
-        _grad_log=grad_log,
         _sampler=sampler,
     )
 

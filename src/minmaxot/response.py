@@ -65,8 +65,6 @@ class ResponseEvaluator:
         nu: Marginal,
         cost: CostFunction,
         quad_nodes_per_dim: int = 120,
-        quad_box_mu: Box | None = None,
-        quad_box_nu: Box | None = None,
     ):
         if mu.kind != "analytic" or nu.kind != "analytic":
             raise ValueError("the evaluator requires analytic marginals")
@@ -80,8 +78,8 @@ class ResponseEvaluator:
         self.nu = nu
         self.cost = cost
         self.quad_nodes_per_dim = quad_nodes_per_dim
-        self.quad_box_mu = quad_box_mu or mu.support_box
-        self.quad_box_nu = quad_box_nu or nu.support_box
+        self.quad_box_mu = mu.support_box
+        self.quad_box_nu = nu.support_box
 
         self._axes_x, self.nodes_x, base_wx = _tensor_gauss_legendre(
             self.quad_box_mu, quad_nodes_per_dim
@@ -252,19 +250,3 @@ class ResponseEvaluator:
             t += dt_ode
         rows.append((t, lam, v(lam)))
         return np.array(rows)
-
-
-def save_sweep_csv(path, rows) -> None:
-    """Persist a penalty-weight sweep: rows of (lambda, Z, V, dV_dlambda, E_d)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda,Z,V,dV_dlambda,E_d\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def save_trace_csv(path, rows) -> None:
-    """Persist a penalty ODE trace: rows of (t, lambda, V)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,lambda,V\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -148,24 +148,15 @@ def reference_density_at(h, pts):
 
 
 def _reference_pair_values(h, ref, pts):
-    from minmaxot.density import HistogramDensity
-
-    same_grid = (
-        isinstance(ref, HistogramDensity)
-        and ref.bins_per_dim == h.bins_per_dim
-        and np.array_equal(ref.box.low, h.box.low)
-        and np.array_equal(ref.box.high, h.box.high)
-    )
-    if same_grid:
-        flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
-        hv = np.full(len(pts), h.floor_eps)
-        rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
-        sel = flat[inside]
-        hv[inside] = h.values[sel]
-        rv[inside] = np.maximum(ref.values[sel], h.floor_eps)
-        return hv, rv
-    rv = np.maximum(np.atleast_1d(ref.density_at(pts)), h.floor_eps)
-    return reference_density_at(h, pts), rv
+    """Values of h and of the same-grid reference ref at pts, both floored at
+    h's floor outside the box."""
+    flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
+    hv = np.full(len(pts), h.floor_eps)
+    rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
+    sel = flat[inside]
+    hv[inside] = h.values[sel]
+    rv[inside] = np.maximum(ref.values[sel], h.floor_eps)
+    return hv, rv
 
 
 def reference_drift(h, ref, x, rng, variant):

@@ -13,6 +13,7 @@ import pytest
 
 import minmaxot as m
 from minmaxot.cli import marginal_error_table, scenario_marginals, ExperimentSpec
+from minmaxot.density import bin_points
 
 from conftest import gaussian_experiment_config, record_criterion
 from oracles import brute_force_assignment, closed_form_gaussian_z
@@ -302,8 +303,9 @@ def test_criterion_10_fixed_penalty_descent(gaussian_pair, cost):
         if k == cfg.steps:
             break
         ps = m.step_particles(
-            ps, mu, nu, cost, cfg, rho1, rho2, np.random.default_rng(step_ss[k]),
-            mu_ref=mu_ref, nu_ref=nu_ref,
+            ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, np.random.default_rng(step_ss[k]),
+            bin_points(box_x, cfg.bins_per_dim, ps.x2),
+            bin_points(box_y, cfg.bins_per_dim, ps.y1),
         )
     energies = np.array(energies)
     final_ok = energies[-1] <= energies[0]

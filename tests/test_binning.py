@@ -57,13 +57,15 @@ def clustered_fit(box, b, rng, n=300):
 
 
 def references(box, b, rng):
-    """A same-grid histogram, a histogram on another grid, and an analytic
-    Gaussian centred in the box."""
+    """A same-grid histogram, histograms with other bins or on a box with
+    one other face, and an analytic Gaussian centred in the box."""
     centre = box.low + 0.5 * box.widths
     gaussian = m.make_gaussian(centre, np.diag((box.widths / 3.0) ** 2))
     return {
         "same_grid": clustered_fit(box, b, rng),
         "other_grid": clustered_fit(box, b + 1, rng),
+        "lower_low": clustered_fit(m.Box(box.low - 0.1 * box.widths, box.high), b, rng),
+        "higher_high": clustered_fit(m.Box(box.low, box.high + 0.1 * box.widths), b, rng),
         "analytic": gaussian,
     }
 
@@ -87,7 +89,9 @@ def test_bin_points_matches_reference_index(grid, seed):
     grid=grids(),
     seed=st.integers(0, 2**32 - 1),
     variant=st.sampled_from(["forward", "reverse"]),
-    ref_kind=st.sampled_from(["same_grid", "other_grid", "analytic"]),
+    ref_kind=st.sampled_from(
+        ["same_grid", "other_grid", "lower_low", "higher_high", "analytic"]
+    ),
 )
 def test_drift_matches_reference_stencil(grid, seed, variant, ref_kind):
     box, b = grid
@@ -97,14 +101,19 @@ def test_drift_matches_reference_stencil(grid, seed, variant, ref_kind):
     ref = references(box, b, rng)[ref_kind]
     drift = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
 
+    cells = bin_points(box, b, x)
+    got_rng = np.random.default_rng(seed)
+    if ref_kind != "same_grid":
+        # the drift only differentiates against a histogram on h's grid
+        with pytest.raises(ValueError, match="grid"):
+            drift(h, ref, x, got_rng, cells)
+        return
     expected_rng = np.random.default_rng(seed)
     expected = reference_drift(h, ref, x, expected_rng, variant)
-    for cells in (None, bin_points(box, b, x)):
-        got_rng = np.random.default_rng(seed)
-        got = drift(h, ref, x, got_rng, cells=cells)
-        assert got.tobytes() == expected.tobytes()
-        # the same random draws were consumed
-        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+    got = drift(h, ref, x, got_rng, cells)
+    assert got.tobytes() == expected.tobytes()
+    # the same random draws were consumed
+    assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)

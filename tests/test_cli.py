@@ -122,6 +122,30 @@ def test_config_file_layering(tmp_path):
     assert "n_pairs = 300" in resolved
 
 
+def test_config_interpolant_s_values_layering(tmp_path):
+    config = tmp_path / "interp.cfg"
+    config.write_text(
+        "scenario = gaussian_pair\n"
+        "particles = 400\n"
+        "steps = 2\n"
+        "bins_per_dim = 8\n"
+        "interpolant_s_values = 0.1\n"
+    )
+    # the config value wins over the default
+    out = tmp_path / "from_config"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("interpolant_s*.csv")) == ["interpolant_s0.1.csv"]
+    assert "interpolant_s_values = 0.1\n" in (out / "resolved_config.txt").read_text()
+    # the flag wins over the config value
+    out = tmp_path / "from_flag"
+    assert run_cli(
+        "run", "--config", str(config), "--out", str(out), "--interpolant-s", "0.3,0.9"
+    ) == 0
+    names = sorted(p.name for p in out.glob("interpolant_s*.csv"))
+    assert names == ["interpolant_s0.3.csv", "interpolant_s0.9.csv"]
+    assert "interpolant_s_values = 0.3,0.9\n" in (out / "resolved_config.txt").read_text()
+
+
 def test_bad_inputs_exit_nonzero(tmp_path):
     # odd particle count
     assert run_cli(

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import minmaxot as m
-from minmaxot.density import grid_centers
-
-from oracles import central_fd_gradient
+from minmaxot.density import bin_points, grid_centers
 
 
 def unit_box():
@@ -19,18 +17,6 @@ class ConstantDensity:
 
     def density_at(self, x):
         return np.full(len(np.atleast_2d(x)), self.value)
-
-
-class AnalyticStandIn:
-    """Duck-typed histogram substitute backed by a smooth density."""
-
-    def __init__(self, density, widths, floor=1e-10):
-        self._density = density
-        self.bin_widths = np.asarray(widths, dtype=float)
-        self.floor_eps = floor
-
-    def density_at(self, x):
-        return self._density(np.atleast_2d(x))
 
 
 class FixedSignRng:
@@ -77,7 +63,7 @@ def test_fit_histogram_validation():
 def test_density_at_lookup_conventions():
     rng = np.random.default_rng(0)
     h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
-    centers = h.bin_centers()
+    centers = grid_centers(h.box, h.bins_per_dim)
     assert h.density_at(centers[5]) == h.values[5]
     # outside the box
     assert h.density_at(np.array([2.0, 2.0])) == h.floor_eps
@@ -106,23 +92,34 @@ def test_refinement_keeps_binned_fraction():
         ).binned_fraction
 
 
+def uniform_fit(box, b, per_cell):
+    """Histogram with ``per_cell`` points at every cell center: exactly
+    uniform over the box."""
+    return m.fit_histogram(np.repeat(grid_centers(box, b), per_cell, axis=0), box, b)
+
+
+def drift(variant, h, ref, x, rng):
+    estimate = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
+    return estimate(h, ref, x, rng, bin_points(h.box, h.bins_per_dim, x))
+
+
 def test_grad_log_ratio_zero_for_matching_uniforms():
     # flat histogram against a flat reference: difference of equal values
-    h = m.fit_histogram(grid_centers(unit_box(), 4), unit_box(), 4)
-    ref = ConstantDensity(1.0)
+    h = uniform_fit(unit_box(), 4, 1)
+    ref = uniform_fit(unit_box(), 4, 3)
     # probes whose one-bin stencils stay inside the box
-    g = m.grad_log_ratio_forward(h, ref, np.array([[0.4, 0.4], [0.6, 0.5]]),
-                                 np.random.default_rng(0))
+    g = drift("forward", h, ref, np.array([[0.4, 0.4], [0.6, 0.5]]), np.random.default_rng(0))
     assert np.allclose(g, 0.0)
 
 
 def test_sign_average_equals_central_difference():
     rng = np.random.default_rng(4)
     h = m.fit_histogram(rng.normal(0.5, 0.2, (5000, 2)), unit_box(), 8)
-    ref = ConstantDensity(1.0)
+    ref = uniform_fit(unit_box(), 8, 2)
+    assert np.all(ref.values == 1.0)
     x = np.array([[0.45, 0.55]])
-    g_plus = m.grad_log_ratio_forward(h, ref, x, FixedSignRng(1))
-    g_minus = m.grad_log_ratio_forward(h, ref, x, FixedSignRng(0))
+    g_plus = drift("forward", h, ref, x, FixedSignRng(1))
+    g_minus = drift("forward", h, ref, x, FixedSignRng(0))
     w = h.bin_widths
     for a in range(2):
         step = np.zeros(2)
@@ -132,72 +129,48 @@ def test_sign_average_equals_central_difference():
         assert 0.5 * (g_plus[0, a] + g_minus[0, a]) == pytest.approx(central, rel=1e-12)
 
 
-def test_forward_self_ratio_gradient_is_small():
-    # histogram fitted from samples of the reference itself: mean drift ~ 0
+def self_ratio_drift(variant, seed, n_probes):
+    """Mean drift between two histograms fitted from independent samples of
+    one Gaussian law, probed in the covered bulk (|x| < 2 sigma).
+
+    The drift is then pure counting noise. A cell holding k points gives a
+    log ratio with a relative error of about sqrt(2 / k), and the stencil
+    divides the difference of two cells by a bin width. At 25 bins per axis a
+    bulk cell holds several thousand of the 400k points, so over 40 seeds the
+    mean forward drift over 100 probes read at most 0.19 (median 0.06) and
+    the reverse one over 500 probes at most 0.08, well inside the 0.5 bound;
+    at 50 bins and 100k points the forward one read 0.19 to 0.99 over 8 seeds
+    (up to 5 without the bulk restriction). Outside the bulk a cell that is
+    empty in one histogram and not in the other puts a floored ratio into
+    the stencil, whose log is about 20 per bin width.
+    """
     marg = m.make_gaussian([0.0, 0.0], 0.02 * np.eye(2))
-    rng = np.random.default_rng(42)
-    pts = marg.sample(100_000, rng)
+    rng = np.random.default_rng(seed)
+    pts = marg.sample(400_000, rng)
     box = m.Box(pts.min(axis=0), pts.max(axis=0)).padded(0.05)
-    h = m.fit_histogram(pts, box, 50)
-    probes = marg.sample(100, rng)
-    g = m.grad_log_ratio_forward(h, marg, probes, rng)
-    assert np.linalg.norm(g.mean(axis=0)) <= 0.5
+    h = m.fit_histogram(pts, box, 25)
+    ref = m.fit_histogram(marg.sample(400_000, rng), box, 25)
+    probes = marg.sample(2000, rng)
+    probes = probes[np.linalg.norm(probes, axis=1) < 2 * np.sqrt(0.02)][:n_probes]
+    return drift(variant, h, ref, probes, rng).mean(axis=0)
+
+
+def test_forward_self_ratio_gradient_is_small():
+    assert np.linalg.norm(self_ratio_drift("forward", 42, 100)) <= 0.5
 
 
 def test_reverse_self_ratio_gradient_is_small():
-    # The ratio field -ref/h is heavy-tailed where stencil neighbors hold no
-    # data (floored cells), so the zero-drift check probes the covered bulk.
-    marg = m.make_gaussian([0.0, 0.0], 0.02 * np.eye(2))
-    rng = np.random.default_rng(45)
-    pts = marg.sample(100_000, rng)
-    box = m.Box(pts.min(axis=0), pts.max(axis=0)).padded(0.05)
-    h = m.fit_histogram(pts, box, 50)
-    probes = marg.sample(2000, rng)
-    probes = probes[np.linalg.norm(probes, axis=1) < 2 * np.sqrt(0.02)][:500]
-    g = m.grad_log_ratio_reverse(h, marg, probes, rng)
-    assert np.linalg.norm(g.mean(axis=0)) <= 0.5
+    assert np.linalg.norm(self_ratio_drift("reverse", 45, 500)) <= 0.5
 
 
 def test_reverse_gradient_finite_when_reference_vanishes():
     rng = np.random.default_rng(5)
     h = m.fit_histogram(rng.random((1000, 2)), unit_box(), 4)
-    far = m.make_gaussian([50.0, 50.0], np.eye(2))  # density ~ 0 on the unit box
-    g = m.grad_log_ratio_reverse(h, far, np.array([[0.5, 0.5]]), rng)
+    # every reference point lies outside the box, so every cell sits at the floor
+    far = m.fit_histogram(rng.random((1000, 2)) + 50.0, unit_box(), 4)
+    assert far.counts.sum() == 0
+    g = drift("reverse", h, far, np.array([[0.5, 0.5]]), rng)
     assert np.all(np.isfinite(g))
-
-
-@pytest.mark.parametrize("variant", ["forward", "reverse"])
-def test_one_sided_differences_track_smooth_fields(variant):
-    # analytic densities in place of the histogram: error shrinks with the step
-    p = lambda pts: np.exp(-((pts - 0.2) ** 2).sum(axis=1) / 0.8 + 0.3 * np.sin(2 * pts[:, 0]))
-    q = lambda pts: np.exp(-((pts + 0.1) ** 2).sum(axis=1) / 1.2)
-    ref = type("Ref", (), {"density_at": staticmethod(q)})()
-    x = np.array([0.3, -0.2])
-
-    if variant == "forward":
-        field = lambda z: np.log(p(np.atleast_2d(z))[0] / q(np.atleast_2d(z))[0])
-        estimate = m.grad_log_ratio_forward
-    else:
-        field = lambda z: -q(np.atleast_2d(z))[0] / p(np.atleast_2d(z))[0]
-        estimate = m.grad_log_ratio_reverse
-
-    exact = central_fd_gradient(field, x, 1e-7)
-    errors = []
-    for w in (0.1, 0.05):
-        stand_in = AnalyticStandIn(p, [w, w])
-        g = 0.5 * (
-            estimate(stand_in, ref, x, FixedSignRng(1))
-            + estimate(stand_in, ref, x, FixedSignRng(0))
-        )
-        # second-order Taylor remainder bound for the averaged stencil
-        curvature = np.array(
-            [abs(field(x + 2 * dx) - 2 * field(x) + field(x - 2 * dx)) / (2 * w) ** 2
-             for dx in (np.array([w, 0.0]), np.array([0.0, w]))]
-        )
-        err = np.abs(g - exact)
-        assert np.all(err <= np.maximum(curvature, 1.0) * w), (variant, w, err)
-        errors.append(np.linalg.norm(err))
-    assert errors[1] <= 0.5 * errors[0] + 1e-8
 
 
 def test_kl_estimate_of_itself_is_zero():

@@ -12,12 +12,6 @@ def test_standard_normal_density_at_origin():
         assert g.density_at(np.zeros(d)) == pytest.approx((2 * np.pi) ** (-d / 2), rel=1e-12)
 
 
-def test_gaussian_grad_log_density_diagonal():
-    g = m.make_gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
-    grad = g.grad_log_density(np.array([1.0, 2.0]))
-    assert np.allclose(grad, [-1.0, -0.5], atol=1e-12)
-
-
 def test_gaussian_rejects_bad_covariance():
     with pytest.raises(ValueError):
         m.make_gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -51,21 +45,6 @@ def test_analytic_marginals_integrate_to_one(analytic_marginals):
     for name, marg in analytic_marginals.items():
         total = tensor_grid_integral(marg.density_at, marg.support_box, 200)
         assert abs(total - 1.0) <= 1e-3, f"{name} integrates to {total}"
-
-
-def test_grad_log_density_matches_finite_differences(analytic_marginals):
-    rng = np.random.default_rng(7)
-    for name, marg in analytic_marginals.items():
-        found = 0
-        while found < 20:
-            x = marg.support_box.low + rng.random(marg.dim) * marg.support_box.widths
-            if marg.density_at(x) <= 1e-8:
-                continue
-            found += 1
-            exact = marg.grad_log_density(x)
-            fd = central_fd_gradient(lambda z: np.log(marg.density_at(z)), x, 1e-6)
-            scale = max(np.linalg.norm(exact), 1.0)
-            assert np.linalg.norm(exact - fd) / scale <= 1e-5, name
 
 
 def test_mixture_single_component_degenerates():

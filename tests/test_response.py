@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minmaxot as m
-from minmaxot.response import save_sweep_csv, save_trace_csv
 
 from oracles import (
     closed_form_1d_z,
@@ -291,14 +292,13 @@ def test_factored_kernel_matches_dense_reference(case):
     box_x, box_y, lam, nodes, frac, shift = case
 
     def centered(box):
+        # the quadrature runs over the support box, here the drawn box itself
         center = 0.5 * (box.low + box.high)
-        return m.make_gaussian(center, np.diag((box.widths / 4.0) ** 2))
+        gaussian = m.make_gaussian(center, np.diag((box.widths / 4.0) ** 2))
+        return dataclasses.replace(gaussian, support_box=box)
 
     cost = m.quadratic_cost() if shift == 0.0 else shifted_cost(shift)
-    ev = m.ResponseEvaluator(
-        centered(box_x), centered(box_y), cost, quad_nodes_per_dim=nodes,
-        quad_box_mu=box_x, quad_box_nu=box_y,
-    )
+    ev = m.ResponseEvaluator(centered(box_x), centered(box_y), cost, quad_nodes_per_dim=nodes)
     got = ev._kernel_pass(lam, with_cost_moments=True)
     ref = dense_kernel_pass(cost, ev.nodes_x, ev.nodes_y, ev.w_mu, ev.w_nu, lam)
     for key in ("z1", "z2", "ec", "ec_row", "ec_col"):
@@ -311,28 +311,3 @@ def test_factored_kernel_matches_dense_reference(case):
     z2 = ev.w_mu @ np.exp(-dense_cost_matrix(cost, ev.nodes_x, ys) / lam)
     np.testing.assert_allclose(ev.partition_given_x(lam, xs), z1, rtol=1e-10, atol=0)
     np.testing.assert_allclose(ev.partition_given_y(lam, ys), z2, rtol=1e-10, atol=0)
-
-
-def test_sweep_and_trace_csv_headers(tmp_path, line_evaluator):
-    rows = []
-    for lam in (0.1, 1.0):
-        rows.append(
-            (
-                lam,
-                line_evaluator.partition_function(lam),
-                line_evaluator.marginal_kl_sum(lam),
-                line_evaluator.marginal_kl_sum_derivative(lam),
-                line_evaluator.best_response_energy(lam),
-            )
-        )
-    sweep = tmp_path / "sweep.csv"
-    save_sweep_csv(sweep, rows)
-    text = sweep.read_text().splitlines()
-    assert text[0] == "lambda,Z,V,dV_dlambda,E_d"
-    parsed = [float(v) for v in text[1].split(",")]
-    assert parsed == [pytest.approx(v) for v in rows[0]]
-
-    trace = line_evaluator.solve_penalty_ode(0.1, 1.0, 0.5)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(path, trace)
-    assert path.read_text().splitlines()[0] == "t,lambda,V"
