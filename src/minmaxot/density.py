@@ -35,8 +35,9 @@ class GridCells:
 
     ``idx`` holds each point's per-axis cell index, clipped to the grid (an
     out-of-box coordinate gets its nearest edge cell), and ``inside`` the
-    per-axis in-box flags. ``flat`` is the C-order flat cell of the clipped
-    index; ``slot`` is ``flat`` for points in the box and ``bins ** dim`` (the
+    per-axis in-box flags; both are stored column by column, so one axis is
+    contiguous. ``flat`` is the C-order flat cell of the clipped index;
+    ``slot`` is ``flat`` for points in the box and ``bins ** dim`` (the
     outside slot of a per-cell table) for the rest.
     """
 
@@ -51,34 +52,56 @@ class GridCells:
         return self.bins_per_dim ** self.idx.shape[1]
 
 
+def _bin_axis(coord: np.ndarray, low, step, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index along one axis of the coordinates ``coord`` (n,), on a grid
+    of ``bins`` cells of width ``step`` starting at ``low``, clipped to the
+    grid, and whether each coordinate lies on the grid (upper face included).
+    """
+    scaled = (coord - low) / step
+    inside = (scaled >= 0.0) & (scaled <= bins)
+    idx = scaled.astype(np.int64)  # floor for in-box points
+    np.clip(idx, 0, bins - 1, out=idx)
+    return idx, inside
+
+
 def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> GridCells:
     """Cells of the regular grid over ``box`` that hold ``pts`` (n, d).
 
     A coordinate on the upper face counts as inside, in the last cell. This
     is the one binning routine: histogram lookup, fitting and the drift
     stencil all index through it.
+
+    Each axis is binned on its own column: numpy arithmetic that broadcasts a
+    (d,) vector over (n, d) runs a length-d inner loop per row, many times
+    slower than the same operations on one column.
     """
     b = bins_per_dim
-    scaled = (pts - box.low) / (box.widths / b)
-    inside = (scaled >= 0.0) & (scaled <= b)
-    idx = scaled.astype(np.int64)  # floor for in-box points
-    np.clip(idx, 0, b - 1, out=idx)
+    n, d = pts.shape
+    steps = box.widths / b
+    idx = np.empty((d, n), dtype=np.int64).T
+    inside = np.empty((d, n), dtype=bool).T
+    for a in range(d):
+        idx[:, a], inside[:, a] = _bin_axis(pts[:, a], box.low[a], steps[a], b)
     flat = idx[:, 0]
-    for a in range(1, box.dim):
+    in_box = inside[:, 0]
+    for a in range(1, d):
         flat = flat * b + idx[:, a]
-    slot = np.where(inside.all(axis=1), flat, b**box.dim)
+        in_box = in_box & inside[:, a]
+    slot = np.where(in_box, flat, b**d)
     return GridCells(bins_per_dim=b, idx=idx, inside=inside, flat=flat, slot=slot)
 
 
 def _shifted_slots(box: Box, cells: GridCells, axis: int, coord: np.ndarray) -> np.ndarray:
     """Table slots of the points of ``cells`` with coordinate ``axis`` moved
-    to ``coord``. Only that axis is binned again, on the box's 1-D edge, which
-    is the same arithmetic as binning the moved points afresh."""
+    to ``coord``. Only that axis is binned again, which is the same
+    arithmetic as binning the moved points afresh."""
     b = cells.bins_per_dim
-    moved = bin_points(Box(box.low[axis], box.high[axis]), b, coord[:, None])
-    ok = moved.inside[:, 0] & np.delete(cells.inside, axis, axis=1).all(axis=1)
+    moved, ok = _bin_axis(coord, box.low[axis], box.widths[axis] / b, b)
+    for other in range(box.dim):
+        if other != axis:
+            ok &= cells.inside[:, other]
     stride = b ** (box.dim - 1 - axis)
-    return np.where(ok, cells.flat + (moved.flat - cells.idx[:, axis]) * stride, cells.n_cells)
+    return np.where(ok, cells.flat + (moved - cells.idx[:, axis]) * stride, cells.n_cells)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,16 @@ def _drift_estimator(variant: str):
     return grad_log_ratio_forward if variant == "forward" else grad_log_ratio_reverse
 
 
+def _clip_columns(arr: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+    """Clip each column of ``arr`` (n, d) in place to [low[a], high[a]].
+
+    One call per column with scalar bounds gives the same values as one call
+    with (d,) bounds, without numpy's length-d inner loop per row.
+    """
+    for a in range(arr.shape[1]):
+        np.clip(arr[:, a], low[a], high[a], out=arr[:, a])
+
+
 def step_particles(
     ps: ParticleSystem,
     mu_ref: HistogramDensity,
@@ -212,18 +222,17 @@ def step_particles(
     # Cap the drift displacement at one bin width per axis: the histogram
     # cannot resolve a ratio beyond its own grid, and floored cells would
     # otherwise fling boundary particles arbitrarily far in one step.
-    np.clip(move_x, -rho1.bin_widths, rho1.bin_widths, out=move_x)
-    np.clip(move_y, -rho2.bin_widths, rho2.bin_widths, out=move_y)
+    _clip_columns(move_x, -rho1.bin_widths, rho1.bin_widths)
+    _clip_columns(move_y, -rho2.bin_widths, rho2.bin_widths)
 
     x2 = ps.x2 + move_x + noise_std * rng.standard_normal(ps.x2.shape)
     y1 = ps.y1 + move_y + noise_std * rng.standard_normal(ps.y1.shape)
-    np.clip(x2, rho1.box.low, rho1.box.high, out=x2)
-    np.clip(y1, rho2.box.low, rho2.box.high, out=y1)
+    _clip_columns(x2, rho1.box.low, rho1.box.high)
+    _clip_columns(y1, rho2.box.low, rho2.box.high)
 
     for name, arr in (("x2", x2), ("y1", y1)):
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
+        if not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
             raise FlowDivergedError(
                 f"non-finite coordinate for particle {bad} of mobile family {name} "
                 f"at step {ps.step_index}"

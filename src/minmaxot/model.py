@@ -41,14 +41,6 @@ class Box:
     def widths(self) -> np.ndarray:
         return self.high - self.low
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.all((x >= self.low) & (x <= self.high), axis=1)
-
     def union(self, other: "Box") -> "Box":
         return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
 
@@ -62,10 +54,6 @@ class Box:
         span = np.maximum(hi - lo, 1e-9)
         pad = pad_fraction * span
         return cls(lo - pad, hi + pad)
-
-    def padded(self, fraction: float) -> "Box":
-        pad = fraction * self.widths
-        return Box(self.low - pad, self.high + pad)
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -131,7 +119,12 @@ def quadratic_cost() -> CostFunction:
     def evaluate(x, y):
         x, sx = _as_points(x)
         y, _ = _as_points(y)
-        out = ((x - y) ** 2).sum(axis=1)
+        # Summed column by column, in numpy's order for up to 7 axes (from 8 it
+        # sums pairwise); a reduction over the short last axis is many times
+        # slower than adding columns.
+        out = (x[:, 0] - y[:, 0]) ** 2
+        for a in range(1, x.shape[1]):
+            out += (x[:, a] - y[:, a]) ** 2
         return float(out[0]) if sx else out
 
     def grad_x(x, y):

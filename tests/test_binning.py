@@ -25,8 +25,8 @@ from oracles import (
 
 @st.composite
 def grids(draw):
-    """A random box in 1-D or 2-D and a bin count from 2 to 30."""
-    d = draw(st.integers(1, 2))
+    """A random box in 1-D to 3-D and a bin count from 2 to 30."""
+    d = draw(st.integers(1, 3))
     low = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(d)])
     width = np.array([draw(st.floats(0.05, 10.0)) for _ in range(d)])
     return m.Box(low, low + width), draw(st.integers(2, 30))
@@ -134,7 +134,10 @@ def test_fit_from_cells_matches_pooled_fit(grid, seed):
     assert from_cells.values.tobytes() == fitted.values.tobytes()
 
 
-@pytest.mark.parametrize("scenario,method", [("gaussian_pair", "I"), ("ring_to_mixture", "II")])
+@pytest.mark.parametrize(
+    "scenario,method",
+    [("gaussian_pair", "I"), ("ring_to_mixture", "II"), ("gaussian_pair", "III")],
+)
 def test_run_matches_reference_loop(scenario, method, cost):
     flow = resolve_flow_config(scenario, {}, {"n_pairs": 1000, "steps": 30, "seed": 0})
     spec = ExperimentSpec(scenario=scenario, method=method, flow=flow, outputs="unused")

@@ -81,7 +81,7 @@ def test_csv_outputs_roundtrip(tmp_path):
                     assert repr(float(cell)) == cell, (name, cell)
 
 
-def test_determinism_across_runs_and_threads(tmp_path):
+def test_determinism_across_runs(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert run_cli(*small_run_args(out_a, extra=("--snapshot-steps", "12"))) == 0

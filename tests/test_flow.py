@@ -112,7 +112,9 @@ def test_step_particles_zero_drift_when_marginals_match(cost):
     assert mean_move <= cfg.dt * cfg.lambda0 * 0.5
 
 
-def test_step_particles_aborts_on_non_finite(gaussian_pair):
+def step_with_gradients(gaussian_pair, grad_x, grad_y):
+    """One noiseless ``step_particles`` on a small system whose cost has the
+    gradients ``grad_x`` and ``grad_y``."""
     mu, nu = gaussian_pair
     cfg = small_config(noise_std_coeff=0.0)
     rng = np.random.default_rng(4)
@@ -122,16 +124,33 @@ def test_step_particles_aborts_on_non_finite(gaussian_pair):
     rho2 = m.fit_histogram(ps.pooled_y(), box, cfg.bins_per_dim)
     mu_ref = m.fit_histogram(mu.sample(4000, rng), box, cfg.bins_per_dim)
     nu_ref = m.fit_histogram(nu.sample(4000, rng), box, cfg.bins_per_dim)
+    zero = lambda x, y: np.zeros(len(np.atleast_2d(x)))
+    cost = m.CostFunction(evaluate=zero, grad_x=grad_x, grad_y=grad_y, name="bad")
+    return step_binned(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng)
 
-    def bad_grad(x, y):
+
+def nan_gradient(row, col):
+    """A cost gradient that is zero except for a NaN at (row, col)."""
+
+    def grad(x, y):
         g = np.zeros_like(np.atleast_2d(x), dtype=float)
-        g[3, 0] = np.nan
+        g[row, col] = np.nan
         return g
 
-    zero = lambda x, y: np.zeros(len(np.atleast_2d(x)))
-    broken = m.CostFunction(evaluate=zero, grad_x=bad_grad, grad_y=bad_grad, name="bad")
+    return grad
+
+
+def test_step_particles_aborts_on_non_finite(gaussian_pair):
+    bad_grad = nan_gradient(3, 0)
     with pytest.raises(m.FlowDivergedError, match="particle 3"):
-        step_binned(ps, mu_ref, nu_ref, broken, cfg, rho1, rho2, rng)
+        step_with_gradients(gaussian_pair, bad_grad, bad_grad)
+
+
+def test_step_particles_names_the_diverged_y1_particle(gaussian_pair):
+    # only the mobile y family goes non-finite, on its second axis
+    zero_grad = lambda x, y: np.zeros_like(x)
+    with pytest.raises(m.FlowDivergedError, match=r"particle 5 of mobile family y1 at step 0$"):
+        step_with_gradients(gaussian_pair, zero_grad, nan_gradient(5, 1))
 
 
 def test_step_lambda_euler_update():
@@ -155,7 +174,7 @@ def test_run_zero_steps_single_record(gaussian_pair, cost):
     assert traj.lam[0] == 1.0
 
 
-def test_run_deterministic_and_thread_independent(gaussian_pair, cost):
+def test_run_deterministic(gaussian_pair, cost):
     mu, nu = gaussian_pair
     cfg = small_config(steps=25)
     a = m.run(mu, nu, cost, cfg)
