@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package, not in a run
 
 from .density import (
     GridCells,

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import CostFunction
 
@@ -72,13 +71,10 @@ def gaussian_kl(m1, s1, m2, s2) -> float:
 class DiscretePlan:
     """Optimal coupling of two uniform empirical measures on n points each.
 
-    The plan is a permutation matrix scaled by 1/n; ``cost`` is the average
-    transport cost (1/n) sum c(x_i, y_{perm(i)}).
+    The plan sends x_i to y_{permutation[i]} with mass 1/n; ``cost`` is the
+    average transport cost (1/n) sum c(x_i, y_{perm(i)}).
     """
 
-    row_points: np.ndarray
-    col_points: np.ndarray
-    plan: np.ndarray
     cost: float
     permutation: np.ndarray
 
@@ -88,8 +84,11 @@ def discrete_ot(xs, ys, cost: CostFunction) -> DiscretePlan:
 
     Solved as a linear assignment problem (an optimal plan over uniform
     marginals can be taken to be a permutation). Exact for n up to
-    ``MAX_EXACT_POINTS``.
+    ``MAX_EXACT_POINTS``. scipy is imported on the first call: the rest of
+    the package needs numpy only.
     """
+    from scipy.optimize import linear_sum_assignment
+
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n = xs.shape[0]
@@ -104,10 +103,8 @@ def discrete_ot(xs, ys, cost: CostFunction) -> DiscretePlan:
     rows, cols = linear_sum_assignment(cost_matrix)
     perm = np.empty(n, dtype=np.int64)
     perm[rows] = cols
-    plan = np.zeros((n, n))
-    plan[rows, cols] = 1.0 / n
     total = float(cost_matrix[np.arange(n), perm].sum() / n)
-    return DiscretePlan(row_points=xs, col_points=ys, plan=plan, cost=total, permutation=perm)
+    return DiscretePlan(cost=total, permutation=perm)
 
 
 def empirical_coupling_cost(ps, cost: CostFunction) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import xlogy
 
 from .model import Box, CostFunction, Marginal
 
@@ -35,6 +34,11 @@ def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[list, np.ndarr
     for a in range(1, box.dim):
         weights = np.multiply.outer(weights, axes_w[a])
     return axes_x, nodes, weights.ravel()
+
+
+def _floored_log(z: np.ndarray) -> np.ndarray:
+    """log z with z floored at 1e-300, so z * _floored_log(z) is 0 where z is 0."""
+    return np.log(np.maximum(z, 1e-300))
 
 
 def _apply_factored(mats: list, weights: np.ndarray, paired: bool = False) -> np.ndarray:
@@ -185,13 +189,14 @@ class ResponseEvaluator:
 
         Evaluated as -2 log Z + (1/Z) int Z1 log Z1 d(mu)
                               + (1/Z) int Z2 log Z2 d(nu), clamped at 0.
+        A node where Z1 or Z2 underflows to 0 contributes 0 to its integral.
         """
         lam = self._check_lam(lam)
         pas = self._kernel_pass(lam)
         z1, z2 = pas["z1"], pas["z2"]
         z = float(self.w_mu @ z1)
-        t1 = float(self.w_mu @ xlogy(z1, np.maximum(z1, 1e-300))) / z
-        t2 = float(self.w_nu @ xlogy(z2, np.maximum(z2, 1e-300))) / z
+        t1 = float(self.w_mu @ (z1 * _floored_log(z1))) / z
+        t2 = float(self.w_nu @ (z2 * _floored_log(z2))) / z
         return max(float(-2.0 * np.log(z)) + t1 + t2, 0.0)
 
     def marginal_kl_sum_derivative(self, lam: float) -> float:
@@ -205,8 +210,8 @@ class ResponseEvaluator:
         pas = self._kernel_pass(lam, with_cost_moments=True)
         z1, z2 = pas["z1"], pas["z2"]
         z = float(self.w_mu @ z1)
-        log_z1 = np.log(np.maximum(z1, 1e-300))
-        log_z2 = np.log(np.maximum(z2, 1e-300))
+        log_z1 = _floored_log(z1)
+        log_z2 = _floored_log(z2)
         e_c = pas["ec"] / z
         e_log = (float(self.w_mu @ (z1 * log_z1)) + float(self.w_nu @ (z2 * log_z2))) / z
         e_c_log = (float(pas["ec_row"] @ (self.w_mu * log_z1))

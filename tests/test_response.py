@@ -118,6 +118,42 @@ def test_kl_sum_upper_bound_and_decay(pair_evaluator):
     assert pair_evaluator.marginal_kl_sum(1e6) <= 1e-4
 
 
+@pytest.fixture(scope="module")
+def cli_evaluator(gaussian_pair, cost):
+    """The evaluator that ``validate-response`` builds by default (56 nodes)."""
+    mu, nu = gaussian_pair
+    return m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=56)
+
+
+def xlogy_kl_sum(ev, lam):
+    """V(lam) with z log z taken by scipy's xlogy on the evaluator's own pass."""
+    from scipy.special import xlogy
+
+    pas = ev._kernel_pass(lam)
+    z1, z2 = pas["z1"], pas["z2"]
+    z = float(ev.w_mu @ z1)
+    t1 = float(ev.w_mu @ xlogy(z1, z1)) / z
+    t2 = float(ev.w_nu @ xlogy(z2, z2)) / z
+    return max(float(-2.0 * np.log(z)) + t1 + t2, 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.1, 0.5, 1.0, 5.0])
+def test_kl_sum_z_log_z_matches_xlogy(cli_evaluator, lam):
+    assert cli_evaluator.marginal_kl_sum(lam) == pytest.approx(
+        xlogy_kl_sum(cli_evaluator, lam), rel=1e-13, abs=0
+    )
+
+
+def test_kl_sum_zero_partition_entry_contributes_zero(cli_evaluator):
+    # at this weight Z1 and Z2 underflow to exactly 0 at the far corner nodes
+    lam = 1e-4
+    pas = cli_evaluator._kernel_pass(lam)
+    assert np.any(pas["z1"] == 0.0) and np.any(pas["z2"] == 0.0)
+    v = cli_evaluator.marginal_kl_sum(lam)
+    assert np.isfinite(v)
+    assert v == pytest.approx(xlogy_kl_sum(cli_evaluator, lam), rel=1e-13, abs=0)
+
+
 def test_kl_sum_derivative_matches_finite_differences(pair_evaluator):
     for lam in np.geomspace(1e-2, 1e2, 7):
         dv = pair_evaluator.marginal_kl_sum_derivative(lam)
