@@ -41,7 +41,7 @@ from .model import (
     quadratic_cost,
 )
 from .oracle import gaussian_w2_squared
-from .response import ResponseEvaluator
+from .response import ResponseEvaluator, penalty_ode_steps
 
 SCENARIOS = ("gaussian_pair", "ring_to_mixture", "custom_csv")
 
@@ -290,8 +290,10 @@ def cmd_validate_response(
     function, the marginal-KL sum V, its derivative by formula and by finite
     difference, the value -lam log Z, the residual |d(-lam log Z)/dlam - V|,
     and the exp(-c*/lam) <= Z lower-bound indicator. The ODE trace goes to
-    ode_trace.csv with its sqrt-growth bound margin.
+    ode_trace.csv with its sqrt-growth bound margin. A bad ODE horizon or
+    step raises ``ValueError`` before any file is written.
     """
+    penalty_ode_steps(ode_horizon, ode_dt)
     mu, nu = scenario_marginals(spec)
     if mu.kind != "analytic" or nu.kind != "analytic":
         print("error: validate-response needs an analytic scenario", file=sys.stderr)

@@ -377,14 +377,6 @@ def save_trajectory_csv(path, traj: Trajectory) -> None:
         )
 
 
-def load_trajectory_csv(path) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Trajectory(
-        t=data[:, 0], lam=data[:, 1], kl1=data[:, 2], kl2=data[:, 3],
-        cost=data[:, 4], l2_mu=data[:, 5], l2_nu=data[:, 6],
-    )
-
-
 def save_particles_csv(path, ps: ParticleSystem) -> None:
     """Write particle pairs: columns x_1..x_d, y_1..y_d, family in {1, 2}."""
     d = ps.x1.shape[1]

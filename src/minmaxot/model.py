@@ -8,6 +8,7 @@ threads; samplers take an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -218,10 +219,11 @@ def make_mixture(components: Sequence[tuple[float, Marginal]]) -> Marginal:
         choice = rng.choice(len(parts), size=n, p=weights)
         out = np.empty((n, d))
         for i, m in enumerate(parts):
-            mask = choice == i
-            k = int(mask.sum())
-            if k:
-                out[mask] = m.sample(k, rng)
+            rows = np.flatnonzero(choice == i)
+            if rows.size:
+                draw = m.sample(rows.size, rng)
+                for a in range(d):
+                    out[rows, a] = draw[:, a]
         return out
 
     return Marginal(
@@ -234,16 +236,13 @@ def make_mixture(components: Sequence[tuple[float, Marginal]]) -> Marginal:
 
 
 def _ring_radial_constant(ring_radius: float, ring_width: float) -> float:
-    """Normalizer of exp(-(|x|-r)^2 / (2 s^2)) over R^2, by radial quadrature."""
-    from numpy.polynomial.legendre import leggauss
-
-    lo = max(0.0, ring_radius - 12.0 * ring_width)
-    hi = ring_radius + 12.0 * ring_width
-    u, w = leggauss(400)
-    u = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * w
-    radial = np.exp(-((u - ring_radius) ** 2) / (2.0 * ring_width**2)) * u
-    return float(2.0 * np.pi * (w @ radial))
+    """Normalizer Z_r of exp(-(|x|-r)^2 / (2 s^2)) over R^2, that is
+    2 pi int_0^inf u exp(-(u-r)^2 / (2 s^2)) du, in the closed form given in
+    ``make_ring_peak``'s docstring."""
+    r, s = ring_radius, ring_width
+    tail = s * s * math.exp(-r * r / (2.0 * s * s))
+    body = r * s * math.sqrt(0.5 * math.pi) * (1.0 + math.erf(r / (s * math.sqrt(2.0))))
+    return 2.0 * math.pi * (tail + body)
 
 
 def make_ring_peak(
@@ -255,6 +254,9 @@ def make_ring_peak(
     """Planar density: a Gaussian ridge on the circle |x| = r plus a central peak.
 
     density(x) = w N(x; 0, s_p^2 I) + (1 - w) Z_r^{-1} exp(-(|x| - r)^2 / (2 s_r^2))
+
+    with the exact ring normalizer
+    Z_r = 2 pi [s_r^2 exp(-r^2 / (2 s_r^2)) + r s_r sqrt(pi/2) (1 + erf(r / (s_r sqrt 2)))].
     """
     if ring_radius <= 0 or ring_width <= 0 or peak_std <= 0:
         raise ValueError("ring radius, ring width and peak std must be positive")
@@ -297,14 +299,16 @@ def make_ring_peak(
     def sampler(n, rng):
         from_peak = rng.random(n) < w_p
         out = np.empty((n, 2))
-        k = int(from_peak.sum())
-        if k:
-            out[from_peak] = rng.standard_normal((k, 2)) * s_p
-        m = n - k
-        if m:
-            radii = _sample_radius(m, rng)
-            theta = rng.random(m) * 2.0 * np.pi
-            out[~from_peak] = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+        peak, ring = np.flatnonzero(from_peak), np.flatnonzero(~from_peak)
+        if peak.size:
+            z = rng.standard_normal((peak.size, 2))
+            for a in range(2):
+                out[peak, a] = z[:, a] * s_p
+        if ring.size:
+            radii = _sample_radius(ring.size, rng)
+            theta = rng.random(ring.size) * 2.0 * np.pi
+            out[ring, 0] = radii * np.cos(theta)
+            out[ring, 1] = radii * np.sin(theta)
         return out
 
     return Marginal(

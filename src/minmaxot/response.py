@@ -19,10 +19,11 @@ from numpy.polynomial.legendre import leggauss
 from .model import Box, CostFunction, Marginal
 
 
-def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per-axis Gauss-Legendre nodes on a box, plus the tensor-product nodes
-    and weights in C order."""
-    base_x, base_w = leggauss(nodes_per_dim)
+def _tensor_gauss_legendre(
+    box: Box, base_x: np.ndarray, base_w: np.ndarray
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule (base_x, base_w) on [-1, 1] mapped onto each
+    axis of a box, plus the tensor-product nodes and weights in C order."""
     axes_x, axes_w = [], []
     for a in range(box.dim):
         lo, hi = box.low[a], box.high[a]
@@ -34,6 +35,26 @@ def _tensor_gauss_legendre(box: Box, nodes_per_dim: int) -> tuple[list, np.ndarr
     for a in range(1, box.dim):
         weights = np.multiply.outer(weights, axes_w[a])
     return axes_x, nodes, weights.ravel()
+
+
+def penalty_ode_steps(t_end: float, dt_ode: float) -> int:
+    """Number of RK4 steps of size ``dt_ode`` that end at ``t_end``.
+
+    Raises ``ValueError`` unless ``dt_ode`` is positive and finite, ``t_end``
+    is finite and >= 0, and t_end / dt_ode lies within 1e-9 (relative) of a
+    whole number, so the trace ends at the requested horizon.
+    """
+    if not (dt_ode > 0 and np.isfinite(dt_ode)):
+        raise ValueError("dt_ode must be positive and finite")
+    if not (t_end >= 0 and np.isfinite(t_end)):
+        raise ValueError("the ODE horizon must be finite and >= 0")
+    ratio = t_end / dt_ode
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError(
+            f"the ODE horizon {t_end!r} is not a whole number of steps of {dt_ode!r}"
+        )
+    return n_steps
 
 
 def _floored_log(z: np.ndarray) -> np.ndarray:
@@ -85,12 +106,9 @@ class ResponseEvaluator:
         self.quad_box_mu = mu.support_box
         self.quad_box_nu = nu.support_box
 
-        self._axes_x, self.nodes_x, base_wx = _tensor_gauss_legendre(
-            self.quad_box_mu, quad_nodes_per_dim
-        )
-        self._axes_y, self.nodes_y, base_wy = _tensor_gauss_legendre(
-            self.quad_box_nu, quad_nodes_per_dim
-        )
+        rule = leggauss(quad_nodes_per_dim)
+        self._axes_x, self.nodes_x, base_wx = _tensor_gauss_legendre(self.quad_box_mu, *rule)
+        self._axes_y, self.nodes_y, base_wy = _tensor_gauss_legendre(self.quad_box_nu, *rule)
         # Weights absorb the densities: sum(w_mu * f(nodes_x)) ~ integral of f d(mu).
         self.w_mu = base_wx * mu.density_at(self.nodes_x)
         self.w_nu = base_wy * nu.density_at(self.nodes_y)
@@ -236,15 +254,14 @@ class ResponseEvaluator:
         """Integrate d(lam)/dt = marginal_kl_sum(lam) by classical RK4.
 
         Returns rows (t, lam, marginal_kl_sum(lam)) at every step, including
-        t = 0 and t = t_end.
+        t = 0 and t = t_end; ``penalty_ode_steps`` says which (t_end, dt_ode)
+        it accepts.
         """
         lam = self._check_lam(lambda0)
-        if dt_ode <= 0:
-            raise ValueError("dt_ode must be positive")
+        n_steps = penalty_ode_steps(t_end, dt_ode)
         v = self.marginal_kl_sum
         rows = []
         t = 0.0
-        n_steps = int(round(t_end / dt_ode))
         for _ in range(n_steps):
             k1 = v(lam)
             rows.append((t, lam, k1))

@@ -81,6 +81,61 @@ def tensor_grid_integral(density, box, points_per_axis):
     return total
 
 
+def reference_ring_radial_constant(ring_radius, ring_width):
+    """Normalizer of exp(-(|x|-r)^2 / (2 s^2)) over R^2 by a 400-node
+    Gauss-Legendre rule in the radius on [max(0, r - 12 s), r + 12 s]."""
+    from numpy.polynomial.legendre import leggauss
+
+    lo = max(0.0, ring_radius - 12.0 * ring_width)
+    hi = ring_radius + 12.0 * ring_width
+    u, w = leggauss(400)
+    u = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w
+    radial = np.exp(-((u - ring_radius) ** 2) / (2.0 * ring_width**2)) * u
+    return float(2.0 * np.pi * (w @ radial))
+
+
+def reference_ring_peak_sample(n, rng, ring_radius=1.0, ring_width=0.15,
+                               peak_weight=0.3, peak_std=0.2):
+    """The ring-plus-peak sampler with boolean-mask placement: the same draws,
+    in the same order, as ``make_ring_peak``'s sampler."""
+    r, s_r, w_p, s_p = ring_radius, ring_width, peak_weight, peak_std
+    u_hi = r + 12.0 * s_r
+    from_peak = rng.random(n) < w_p
+    out = np.empty((n, 2))
+    k = int(from_peak.sum())
+    if k:
+        out[from_peak] = rng.standard_normal((k, 2)) * s_p
+    m = n - k
+    if m:
+        radii = np.empty(m)
+        filled = 0
+        while filled < m:
+            u = rng.normal(r, s_r, size=max(2 * (m - filled), 64))
+            u = u[(u > 0.0) & (u < u_hi)]
+            u = u[rng.random(u.size) < u / u_hi]
+            take = min(u.size, m - filled)
+            radii[filled : filled + take] = u[:take]
+            filled += take
+        theta = rng.random(m) * 2.0 * np.pi
+        out[~from_peak] = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+    return out
+
+
+def reference_mixture_sample(components, n, rng):
+    """The mixture sampler with boolean-mask placement: the same draws, in the
+    same order, as ``make_mixture``'s sampler."""
+    weights = np.array([w for w, _ in components], dtype=float)
+    choice = rng.choice(len(components), size=n, p=weights)
+    out = np.empty((n, components[0][1].dim))
+    for i, (_, marg) in enumerate(components):
+        mask = choice == i
+        k = int(mask.sum())
+        if k:
+            out[mask] = marg.sample(k, rng)
+    return out
+
+
 def central_fd_gradient(f, x, h):
     """Central finite-difference gradient of a scalar field at a point."""
     x = np.asarray(x, dtype=float)

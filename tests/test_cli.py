@@ -285,6 +285,19 @@ def test_validate_response_ring_scenario(tmp_path):
     assert (out / "ode_trace.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [("--ode-horizon", "2.6"), ("--ode-dt", "0")])
+def test_validate_response_bad_ode_writes_no_csv(tmp_path, capsys, flag):
+    out = tmp_path / "resp"
+    status = run_cli(
+        "validate-response", "--scenario", "gaussian_pair", "--out", str(out),
+        "--lambda-grid", "0.5", "--quad-nodes", "12", *flag,
+    )
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "response_report.csv").exists()
+    assert not (out / "ode_trace.csv").exists()
+
+
 def test_validate_response_rejects_empirical(tmp_path):
     rng = np.random.default_rng(1)
     mu_csv = tmp_path / "mu.csv"

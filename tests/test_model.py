@@ -3,7 +3,14 @@ import pytest
 
 import minmaxot as m
 
-from oracles import central_fd_gradient, tensor_grid_integral
+from minmaxot import model
+from oracles import (
+    central_fd_gradient,
+    reference_mixture_sample,
+    reference_ring_peak_sample,
+    reference_ring_radial_constant,
+    tensor_grid_integral,
+)
 
 
 def test_standard_normal_density_at_origin():
@@ -110,6 +117,43 @@ def test_ring_peak_sampler_matches_density():
     f = us * np.exp(-((us - 1.0) ** 2) / (2 * 0.15**2))
     expected = np.trapezoid(us * f, us) / np.trapezoid(f, us)
     assert ring_only.mean() == pytest.approx(expected, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "r, s", [(1.0, 0.15), (0.5, 0.3), (2.0, 0.1), (0.2, 0.5), (3.0, 0.05)]
+)
+def test_ring_radial_constant_matches_quadrature(r, s):
+    got = model._ring_radial_constant(r, s)
+    assert got == pytest.approx(reference_ring_radial_constant(r, s), rel=1e-12)
+
+
+SAMPLE_SIZES = (1, 2, 7, 1000, 80_000)
+
+
+def test_ring_peak_sampler_is_bitwise_the_mask_sampler():
+    ring = m.make_ring_peak()
+    sources = set()
+    for n in SAMPLE_SIZES:
+        for seed in range(5):
+            got = ring.sample(n, np.random.default_rng(seed))
+            want = reference_ring_peak_sample(n, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), (n, seed)
+            sources.add(tuple(np.unique(np.random.default_rng(seed).random(n) < 0.3)))
+    # some draws come wholly from the peak, some wholly from the ring
+    assert {(True,), (False,)} <= sources
+
+
+def test_mixture_sampler_is_bitwise_the_mask_sampler():
+    parts = [
+        (w, m.make_gaussian([sx * 0.85, sy * 0.85], 0.02 * np.eye(2)))
+        for w, (sx, sy) in zip((0.1, 0.2, 0.3, 0.4), ((-1, -1), (-1, 1), (1, -1), (1, 1)))
+    ]
+    mix = m.make_mixture(parts)
+    for n in SAMPLE_SIZES:
+        for seed in range(5):
+            got = mix.sample(n, np.random.default_rng(seed))
+            want = reference_mixture_sample(parts, n, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), (n, seed)
 
 
 def test_quadratic_cost_basics(cost):

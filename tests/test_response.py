@@ -278,6 +278,18 @@ def test_evaluator_validation(line_pair, cost):
         ev.solve_penalty_ode(0.1, 1.0, 0.0)
 
 
+def test_penalty_ode_horizon_must_be_whole_steps(line_pair, cost):
+    mu, nu = line_pair
+    ev = m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=16)
+    for t_end, dt in ((2.6, 0.25), (-1.0, 0.25)):
+        with pytest.raises(ValueError, match="horizon"):
+            ev.solve_penalty_ode(0.1, t_end, dt)
+    for t_end, dt, steps in ((5.0, 0.1, 50), (100.0, 0.25, 400)):
+        trace = ev.solve_penalty_ode(0.1, t_end, dt)
+        assert len(trace) == steps + 1
+        assert trace[-1, 0] == pytest.approx(t_end, rel=1e-12)
+
+
 def euclidean_cost():
     def evaluate(x, y):
         return np.sqrt(((np.atleast_2d(x) - np.atleast_2d(y)) ** 2).sum(axis=1))
