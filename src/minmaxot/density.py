@@ -5,17 +5,18 @@ regular grid, normalized by the total point count and cell volume, floored at
 a small positive value so logarithms stay finite. A fit costs one linear pass
 over the points plus one pass over the bins.
 
-Every point is binned through ``bin_points``, which returns its per-axis cell
-index and in-box flags. A fit is a ``bincount`` of those cells, and the
-particle flow reuses them: the frozen families are binned once per run, the
-mobile ones once per step, and the fit sums the counts of both.
+Every point is binned through ``bin_points``, which returns its table slot:
+its flat cell, or one outside slot for points off the grid. A fit is a
+``bincount`` of those slots, and the particle flow reuses them: the frozen
+families are binned once per run, the mobile ones once per step, and the fit
+sums the counts of both.
 
 The drift differentiates the penalty's first variation, log(h/ref) or
 -ref/h, where h is the flowing histogram and ref a reference histogram on
-the same grid. Both are piecewise constant on the same cells, so the field is
-one table (one entry per cell plus an outside slot holding the floor value),
-read at the cells of the particles and of their one-bin moves, re-binning
-only the moved axis.
+the same grid. Both are piecewise constant on the same cells, so a one-bin
+difference of the field depends only on the cell, the axis and the side.
+Each step builds, per axis, one table of every cell's minus- and plus-side
+differences, and the drift reads it at the particles' slots.
 """
 
 from __future__ import annotations
@@ -29,47 +30,13 @@ from .model import Box
 MAX_TOTAL_BINS = 10_000_000
 
 
-@dataclass(frozen=True)
-class GridCells:
-    """Where points fall on the regular grid over a box.
-
-    ``idx`` holds each point's per-axis cell index, clipped to the grid (an
-    out-of-box coordinate gets its nearest edge cell), and ``inside`` the
-    per-axis in-box flags; both are stored column by column, so one axis is
-    contiguous. ``flat`` is the C-order flat cell of the clipped index;
-    ``slot`` is ``flat`` for points in the box and ``bins ** dim`` (the
-    outside slot of a per-cell table) for the rest.
-    """
-
-    bins_per_dim: int
-    idx: np.ndarray  # (n, d) int64
-    inside: np.ndarray  # (n, d) bool
-    flat: np.ndarray  # (n,) int64
-    slot: np.ndarray  # (n,) int64
-
-    @property
-    def n_cells(self) -> int:
-        return self.bins_per_dim ** self.idx.shape[1]
-
-
-def _bin_axis(coord: np.ndarray, low, step, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index along one axis of the coordinates ``coord`` (n,), on a grid
-    of ``bins`` cells of width ``step`` starting at ``low``, clipped to the
-    grid, and whether each coordinate lies on the grid (upper face included).
-    """
-    scaled = (coord - low) / step
-    inside = (scaled >= 0.0) & (scaled <= bins)
-    idx = scaled.astype(np.int64)  # floor for in-box points
-    np.clip(idx, 0, bins - 1, out=idx)
-    return idx, inside
-
-
-def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> GridCells:
-    """Cells of the regular grid over ``box`` that hold ``pts`` (n, d).
-
-    A coordinate on the upper face counts as inside, in the last cell. This
-    is the one binning routine: histogram lookup, fitting and the drift
-    stencil all index through it.
+def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> np.ndarray:
+    """Table slot of each of ``pts`` (n, d) on the regular grid over ``box``:
+    the C-order flat cell for points in the box, ``bins_per_dim ** dim`` (the
+    outside slot of a per-cell table) for the rest. A coordinate on the upper
+    face counts as inside, in the last cell. This is the one binning routine:
+    histogram lookup and fitting index through it, and the drift reads its
+    slots.
 
     Each axis is binned on its own column: numpy arithmetic that broadcasts a
     (d,) vector over (n, d) runs a length-d inner loop per row, many times
@@ -77,31 +44,19 @@ def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> GridCells:
     """
     b = bins_per_dim
     n, d = pts.shape
+    if d != box.dim:
+        raise ValueError(f"points have dim {d}, box has dim {box.dim}")
     steps = box.widths / b
-    idx = np.empty((d, n), dtype=np.int64).T
-    inside = np.empty((d, n), dtype=bool).T
+    flat = np.zeros(n, dtype=np.int64)
+    in_box = np.ones(n, dtype=bool)
     for a in range(d):
-        idx[:, a], inside[:, a] = _bin_axis(pts[:, a], box.low[a], steps[a], b)
-    flat = idx[:, 0]
-    in_box = inside[:, 0]
-    for a in range(1, d):
-        flat = flat * b + idx[:, a]
-        in_box = in_box & inside[:, a]
-    slot = np.where(in_box, flat, b**d)
-    return GridCells(bins_per_dim=b, idx=idx, inside=inside, flat=flat, slot=slot)
-
-
-def _shifted_slots(box: Box, cells: GridCells, axis: int, coord: np.ndarray) -> np.ndarray:
-    """Table slots of the points of ``cells`` with coordinate ``axis`` moved
-    to ``coord``. Only that axis is binned again, which is the same
-    arithmetic as binning the moved points afresh."""
-    b = cells.bins_per_dim
-    moved, ok = _bin_axis(coord, box.low[axis], box.widths[axis] / b, b)
-    for other in range(box.dim):
-        if other != axis:
-            ok &= cells.inside[:, other]
-    stride = b ** (box.dim - 1 - axis)
-    return np.where(ok, cells.flat + (moved - cells.idx[:, axis]) * stride, cells.n_cells)
+        scaled = (pts[:, a] - box.low[a]) / steps[a]
+        in_box &= (scaled >= 0.0) & (scaled <= b)
+        idx = scaled.astype(np.int64)  # floor for in-box points
+        np.clip(idx, 0, b - 1, out=idx)
+        flat *= b
+        flat += idx
+    return np.where(in_box, flat, b**d)
 
 
 @dataclass(frozen=True)
@@ -161,12 +116,12 @@ class HistogramDensity:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        out = self.cell_values()[bin_points(self.box, self.bins_per_dim, pts).slot]
+        out = self.cell_values()[bin_points(self.box, self.bins_per_dim, pts)]
         return float(out[0]) if single else out
 
     def cell_values(self) -> np.ndarray:
         """Per-cell values with ``floor_eps`` appended as the outside slot, so
-        a ``GridCells.slot`` indexes it directly."""
+        a ``bin_points`` slot indexes it directly."""
         return np.append(self.values, self.floor_eps)
 
 
@@ -190,8 +145,6 @@ def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("cannot fit a histogram to an empty point list")
-    if pts.shape[1] != box.dim:
-        raise ValueError(f"points have dim {pts.shape[1]}, box has dim {box.dim}")
     if bins_per_dim < 2:
         raise ValueError("bins_per_dim must be >= 2")
     n_bins = bins_per_dim**box.dim
@@ -202,16 +155,16 @@ def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
     return histogram_from_cells(box, bins_per_dim, bin_points(box, bins_per_dim, pts))
 
 
-def histogram_from_cells(box: Box, bins_per_dim: int, *cells: GridCells) -> HistogramDensity:
-    """Histogram over ``box`` of the points binned in ``cells`` (one or more
+def histogram_from_cells(box: Box, bins_per_dim: int, *slots: np.ndarray) -> HistogramDensity:
+    """Histogram over ``box`` of the points binned in ``slots`` (one or more
     ``bin_points`` results on this grid, counted together).
 
     Fitting the pooled points and summing the counts of their parts give the
     same histogram, so parts that never move can be binned once and reused.
     """
     n_bins = bins_per_dim**box.dim
-    counts = sum(np.bincount(c.slot, minlength=n_bins + 1)[:n_bins] for c in cells)
-    total = sum(len(c.slot) for c in cells)
+    counts = sum(np.bincount(s, minlength=n_bins + 1)[:n_bins] for s in slots)
+    total = sum(len(s) for s in slots)
     return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=total)
 
 
@@ -226,27 +179,45 @@ def _check_same_grid(h: HistogramDensity, ref) -> None:
 
 
 def _one_sided_grad(
-    h: HistogramDensity, ref: HistogramDensity, field, x, rng, cells: GridCells
+    h: HistogramDensity, ref: HistogramDensity, field, x, rng, slots: np.ndarray
 ) -> np.ndarray:
-    """Random left/right one-bin differences of f = field(h, ref), per coordinate.
+    """Random one-bin differences of f = field(h, ref), per coordinate.
 
-    For each coordinate i a sign s_i in {+1, -1} is drawn uniformly and the
-    estimate is s_i * (f(x + s_i w_i e_i) - f(x)) / w_i with w_i the bin
-    width. The histograms are constant inside a cell, so sub-bin steps would
-    see no variation at all. f is one table over the cells plus the outside
-    slot, read at the cells of x and at the cells of the moved points.
+    For each coordinate a side is drawn uniformly, and the estimate on axis a
+    is (f(upper cell) - f(lower cell)) / w_a, with w_a the bin width: the
+    cell of the point and its neighbour on the drawn side. The histograms are
+    constant inside a cell, so sub-bin steps would see no variation at all,
+    and the difference depends only on the cell, the axis and the side. So f
+    is one table over the cells, and each axis gets a table of the minus- and
+    plus-side differences of every cell, read at the points' ``bin_points``
+    slots. A neighbour beyond the grid reads f's outside (floor) value.
+
+    Two cases follow from reading neighbour cells rather than the cells of
+    moved points. A point on a box's upper face lies in the last cell, so its
+    inward difference is to the cell below it, not 0. A point outside the
+    box reads 0 on every axis; the flow clamps its particles into the box
+    and never asks for one.
     """
     _check_same_grid(h, ref)
-    pts = np.asarray(x, dtype=float)
-    n, d = pts.shape
-    widths = h.bin_widths
-    signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
+    n, d = np.shape(x)
+    if d != h.dim or n != len(slots):
+        raise ValueError(
+            f"points have shape ({n}, {d}), expected ({len(slots)}, {h.dim}) on h's grid"
+        )
+    b = h.bins_per_dim
+    up = rng.integers(0, 2, size=(n, d))
     table = field(h.cell_values(), ref.cell_values())
-    f0 = table[cells.slot]
+    cells, outside = table[:-1].reshape((b,) * d), table[-1]
+    at = 2 * slots
     grad = np.empty((n, d))
-    for a in range(d):
-        moved = table[_shifted_slots(h.box, cells, a, pts[:, a] + signs[:, a] * widths[a])]
-        grad[:, a] = signs[:, a] * (moved - f0) / widths[a]
+    for a, width in enumerate(h.bin_widths):
+        # Along axis a, diffs[k] = (f(cell k) - f(cell k - 1)) / w for k = 0..b:
+        # cell k's minus-side difference, and cell k - 1's plus-side one.
+        diffs = np.diff(cells, axis=a, prepend=outside, append=outside) / width
+        tab = np.zeros((b**d + 1, 2))  # the outside slot reads 0 on both sides
+        tab[:-1, 0] = diffs.take(range(b), axis=a).ravel()
+        tab[:-1, 1] = diffs.take(range(1, b + 1), axis=a).ravel()
+        grad[:, a] = tab.ravel()[at + up[:, a]]
     return grad
 
 
@@ -259,20 +230,20 @@ def _neg_ratio(hv, rv):
 
 
 def grad_log_ratio_forward(
-    h: HistogramDensity, ref: HistogramDensity, x, rng, cells: GridCells
+    h: HistogramDensity, ref: HistogramDensity, x, rng, slots: np.ndarray
 ) -> np.ndarray:
     """Stochastic finite-difference estimate of grad log(h / ref) at the
-    points x (n, d), whose cells are ``bin_points(h.box, h.bins_per_dim, x)``.
+    points x (n, d), whose slots are ``bin_points(h.box, h.bins_per_dim, x)``.
 
     ``ref`` must be a histogram on h's grid; anything else raises
     ``ValueError``. This is the drift field of the divergence penalty that
     integrates the flowing density against the log ratio.
     """
-    return _one_sided_grad(h, ref, _log_ratio, x, rng, cells)
+    return _one_sided_grad(h, ref, _log_ratio, x, rng, slots)
 
 
 def grad_log_ratio_reverse(
-    h: HistogramDensity, ref: HistogramDensity, x, rng, cells: GridCells
+    h: HistogramDensity, ref: HistogramDensity, x, rng, slots: np.ndarray
 ) -> np.ndarray:
     """Stochastic finite-difference drift for the reversed divergence.
 
@@ -281,7 +252,7 @@ def grad_log_ratio_reverse(
     differencing is applied to f = -ref / h. Arguments as for
     ``grad_log_ratio_forward``.
     """
-    return _one_sided_grad(h, ref, _neg_ratio, x, rng, cells)
+    return _one_sided_grad(h, ref, _neg_ratio, x, rng, slots)
 
 
 def reference_at_centers(h: HistogramDensity, ref) -> np.ndarray:

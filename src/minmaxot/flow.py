@@ -22,7 +22,6 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package, not in a run
 
 from .density import (
-    GridCells,
     HistogramDensity,
     bin_points,
     fit_histogram,
@@ -201,22 +200,22 @@ def step_particles(
     rho1: HistogramDensity,
     rho2: HistogramDensity,
     rng: np.random.Generator,
-    x2_cells: GridCells,
-    y1_cells: GridCells,
+    x2_slots: np.ndarray,
+    y1_slots: np.ndarray,
 ) -> ParticleSystem:
     """One explicit Euler-Maruyama update of the mobile families.
 
     ``rho1`` and ``rho2`` must be fitted from the current pooled marginals,
     and ``mu_ref``/``nu_ref`` are the drift's reference histograms on their
-    grids. ``x2_cells``/``y1_cells`` are the mobile families' cells on those
+    grids. ``x2_slots``/``y1_slots`` are the mobile families' slots on those
     grids (``bin_points``). The frozen families are returned untouched, bit
     for bit.
     """
     dt = cfg.dt
     noise_std = cfg.noise_std_coeff * np.sqrt(dt)
 
-    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, x2_cells)
-    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, y1_cells)
+    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, x2_slots)
+    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, y1_slots)
 
     move_x = dt * (-cost.grad_x(ps.x2, ps.y2) - ps.lam * g_x)
     move_y = dt * (-cost.grad_y(ps.x1, ps.y1) - ps.lam * g_y)
@@ -330,16 +329,16 @@ def run(
         return kl1, kl2, l2_1, l2_2
 
     # The frozen families never move: bin them once. The mobile ones are
-    # binned once per step, and their cells serve both the fit and the drift.
-    x1_cells = bin_points(box_x, b, ps.x1)
-    y2_cells = bin_points(box_y, b, ps.y2)
+    # binned once per step, and their slots serve both the fit and the drift.
+    x1_slots = bin_points(box_x, b, ps.x1)
+    y2_slots = bin_points(box_y, b, ps.y2)
 
     try:
         for k in range(cfg.steps + 1):
-            x2_cells = bin_points(box_x, b, ps.x2)
-            y1_cells = bin_points(box_y, b, ps.y1)
-            rho1 = histogram_from_cells(box_x, b, x1_cells, x2_cells)
-            rho2 = histogram_from_cells(box_y, b, y1_cells, y2_cells)
+            x2_slots = bin_points(box_x, b, ps.x2)
+            y1_slots = bin_points(box_y, b, ps.y1)
+            rho1 = histogram_from_cells(box_x, b, x1_slots, x2_slots)
+            rho2 = histogram_from_cells(box_y, b, y1_slots, y2_slots)
             kl1, kl2, l2_1, l2_2 = _diagnostics(rho1, rho2)
             pair_cost = empirical_coupling_cost(ps, cost)
             recorder.record(k * cfg.dt, ps, kl1, kl2, pair_cost, l2_1, l2_2)
@@ -347,7 +346,7 @@ def run(
                 break
             step_rng = np.random.default_rng(step_ss[k])
             ps = step_particles(
-                ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, step_rng, x2_cells, y1_cells
+                ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, step_rng, x2_slots, y1_slots
             )
             ps = step_lambda(ps, kl1, kl2, cfg)
     except FlowDivergedError as err:

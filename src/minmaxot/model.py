@@ -347,7 +347,8 @@ class FlowConfig:
     One solver step advances particle time by ``dt`` and the penalty weight's
     time by ``beta * dt``; ``noise_std_coeff`` scales the per-step particle
     noise std ``noise_std_coeff * sqrt(dt)``. ``eta_var`` is the variance of
-    the pairing perturbation used at initialization.
+    the pairing perturbation used at initialization. ``beta = 0`` keeps the
+    penalty weight at ``lambda0``: the fixed-penalty run.
     """
 
     n_pairs: int = 1000
@@ -365,10 +366,13 @@ class FlowConfig:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
+        for name in ("dt", "lambda0", "noise_std_coeff", "eta_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError("beta must lie in [0, 1)")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.noise_std_coeff < 0:

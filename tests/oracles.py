@@ -167,10 +167,9 @@ def dense_kernel_pass(cost, nodes_x, nodes_y, w_mu, w_nu, lam):
 
 
 # --- Reference histogram pipeline -------------------------------------------
-# The binning, fit and drift stencil as they stood before the particle flow
-# shared cell indices between them: every query bins its points afresh, and
-# the stencil evaluates f on a tiled (d + 1) n x d array of the points and
-# their one-bin moves.
+# The binning, fit and drift stencil written without shared cell indices:
+# every query bins its points afresh, and the stencil walks each particle's
+# neighbour cells one axis at a time.
 
 
 def reference_flat_index(box, bins_per_dim, pts):
@@ -202,35 +201,43 @@ def reference_density_at(h, pts):
     return out
 
 
-def _reference_pair_values(h, ref, pts):
-    """Values of h and of the same-grid reference ref at pts, both floored at
-    h's floor outside the box."""
-    flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
-    hv = np.full(len(pts), h.floor_eps)
-    rv = np.full(len(pts), max(ref.floor_eps, h.floor_eps))
-    sel = flat[inside]
-    hv[inside] = h.values[sel]
-    rv[inside] = np.maximum(ref.values[sel], h.floor_eps)
-    return hv, rv
+def _reference_field(h, ref, variant):
+    """log(h/ref) ("forward") or -ref/h ("reverse") on every cell of h's grid,
+    in flat order, with the value of two floored densities appended for the
+    outside of the box."""
+    hv = np.append(h.values, h.floor_eps)
+    rv = np.append(ref.values, ref.floor_eps)
+    return np.log(hv / rv) if variant == "forward" else -rv / hv
 
 
 def reference_drift(h, ref, x, rng, variant):
-    """Random one-sided one-bin differences of log(h/ref) ("forward") or
-    -ref/h ("reverse"), all stencil points evaluated in one tiled batch."""
+    """Random one-sided one-bin differences of the field, one particle and
+    one axis at a time: the drawn bit picks the neighbour cell below (0) or
+    above (1) the particle's own, a neighbour beyond the grid reads the
+    outside value, and the estimate is (upper - lower) / w. A particle
+    outside the box reads 0."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = pts.shape
+    b = h.bins_per_dim
+    outside = b**d
     widths = h.bin_widths
-    signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
-    stacked = np.tile(pts, (d + 1, 1))
-    for a in range(d):
-        block = stacked[(a + 1) * n : (a + 2) * n]
-        block[:, a] += signs[:, a] * widths[a]
-    hv, rv = _reference_pair_values(h, ref, stacked)
-    vals = np.log(hv / rv) if variant == "forward" else -rv / hv
-    f0 = vals[:n]
-    grad = np.empty((n, d))
-    for a in range(d):
-        grad[:, a] = signs[:, a] * (vals[(a + 1) * n : (a + 2) * n] - f0) / widths[a]
+    up = rng.integers(0, 2, size=(n, d))
+    f = _reference_field(h, ref, variant)
+    flat, inside = reference_flat_index(h.box, b, pts)
+    grad = np.zeros((n, d))
+    for i in range(n):
+        if not inside[i]:
+            continue
+        for a in range(d):
+            stride = b ** (d - 1 - a)
+            cell_a = (flat[i] // stride) % b
+            if up[i, a]:
+                lower = flat[i]
+                upper = flat[i] + stride if cell_a < b - 1 else outside
+            else:
+                upper = flat[i]
+                lower = flat[i] - stride if cell_a > 0 else outside
+            grad[i, a] = (f[upper] - f[lower]) / widths[a]
     return grad
 
 

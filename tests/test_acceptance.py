@@ -13,7 +13,6 @@ import pytest
 
 import minmaxot as m
 from minmaxot.cli import marginal_error_table, scenario_marginals, ExperimentSpec
-from minmaxot.density import bin_points
 
 from conftest import gaussian_experiment_config, record_criterion
 from oracles import brute_force_assignment, closed_form_gaussian_z
@@ -278,36 +277,12 @@ def test_criterion_9_method_comparison(ring_method_medians):
 
 def test_criterion_10_fixed_penalty_descent(gaussian_pair, cost):
     mu, nu = gaussian_pair
-    cfg = gaussian_experiment_config(seed=0, steps=500, noise_std_coeff=0.0, lambda0=1.0)
-    lam = 1.0
-    root = np.random.SeedSequence(cfg.seed)
-    init_ss, ref_ss, *step_ss = root.spawn(cfg.steps + 2)
-    ps = m.init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
-    from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
-
-    ref_rng = np.random.default_rng(ref_ss)
-    mu_samples = mu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    nu_samples = nu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    box_x = m.Box.hull([ps.x1, ps.x2, mu_samples], BOX_PAD_FRACTION)
-    box_y = m.Box.hull([ps.y1, ps.y2, nu_samples], BOX_PAD_FRACTION)
-    mu_ref = m.fit_histogram(mu_samples, box_x, cfg.bins_per_dim)
-    nu_ref = m.fit_histogram(nu_samples, box_y, cfg.bins_per_dim)
-
-    energies = []
-    for k in range(cfg.steps + 1):
-        rho1 = m.fit_histogram(ps.pooled_x(), box_x, cfg.bins_per_dim)
-        rho2 = m.fit_histogram(ps.pooled_y(), box_y, cfg.bins_per_dim)
-        kl1 = m.kl_estimate(rho1, mu)
-        kl2 = m.kl_estimate(rho2, nu)
-        energies.append(m.empirical_coupling_cost(ps, cost) + lam * (kl1 + kl2))
-        if k == cfg.steps:
-            break
-        ps = m.step_particles(
-            ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, np.random.default_rng(step_ss[k]),
-            bin_points(box_x, cfg.bins_per_dim, ps.x2),
-            bin_points(box_y, cfg.bins_per_dim, ps.y1),
-        )
-    energies = np.array(energies)
+    cfg = gaussian_experiment_config(
+        seed=0, steps=500, noise_std_coeff=0.0, lambda0=1.0, beta=0.0
+    )
+    traj = m.run(mu, nu, cost, cfg)
+    assert np.all(traj.lam == cfg.lambda0)
+    energies = traj.cost + traj.lam * (traj.kl1 + traj.kl2)
     final_ok = energies[-1] <= energies[0]
     tolerance = 0.05 * energies[0]
     worst_window = max(

@@ -1,7 +1,7 @@
-"""The shared-cell histogram pipeline against the reference pipeline in
-``oracles``, which bins every query afresh and evaluates the drift stencil on
-a tiled array. The two must agree bit for bit: cells, counts, drifts, and a
-whole run of the particle flow."""
+"""The shared-slot histogram pipeline against the reference pipeline in
+``oracles``, which bins every query afresh and walks the drift's neighbour
+cells one particle at a time. The two must agree bit for bit: slots, counts,
+drifts, and a whole run of the particle flow."""
 
 import dataclasses
 
@@ -75,11 +75,10 @@ def references(box, b, rng):
 def test_bin_points_matches_reference_index(grid, seed):
     box, b = grid
     pts = probe_points(box, b, np.random.default_rng(seed), 60)
-    cells = bin_points(box, b, pts)
+    slots = bin_points(box, b, pts)
     flat, inside = reference_flat_index(box, b, pts)
-    assert np.array_equal(cells.flat, flat)
-    assert np.array_equal(cells.inside.all(axis=1), inside)
-    assert np.array_equal(cells.slot, np.where(inside, flat, b**box.dim))
+    assert slots.dtype == np.int64
+    assert np.array_equal(slots, np.where(inside, flat, b**box.dim))
     h = clustered_fit(box, b, np.random.default_rng(seed + 1))
     assert h.density_at(pts).tobytes() == reference_density_at(h, pts).tobytes()
 
@@ -101,16 +100,16 @@ def test_drift_matches_reference_stencil(grid, seed, variant, ref_kind):
     ref = references(box, b, rng)[ref_kind]
     drift = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
 
-    cells = bin_points(box, b, x)
+    slots = bin_points(box, b, x)
     got_rng = np.random.default_rng(seed)
     if ref_kind != "same_grid":
         # the drift only differentiates against a histogram on h's grid
         with pytest.raises(ValueError, match="grid"):
-            drift(h, ref, x, got_rng, cells)
+            drift(h, ref, x, got_rng, slots)
         return
     expected_rng = np.random.default_rng(seed)
     expected = reference_drift(h, ref, x, expected_rng, variant)
-    got = drift(h, ref, x, got_rng, cells)
+    got = drift(h, ref, x, got_rng, slots)
     assert got.tobytes() == expected.tobytes()
     # the same random draws were consumed
     assert got_rng.bit_generator.state == expected_rng.bit_generator.state
@@ -125,13 +124,13 @@ def test_fit_from_cells_matches_pooled_fit(grid, seed):
     mobile = probe_points(box, b, rng, 40)
     pooled = np.vstack([frozen, mobile])
     fitted = m.fit_histogram(pooled, box, b)
-    from_cells = histogram_from_cells(
+    from_slots = histogram_from_cells(
         box, b, bin_points(box, b, frozen), bin_points(box, b, mobile)
     )
-    assert np.array_equal(from_cells.counts, fitted.counts)
-    assert np.array_equal(from_cells.counts, reference_counts(pooled, box, b))
-    assert from_cells.total == fitted.total == len(pooled)
-    assert from_cells.values.tobytes() == fitted.values.tobytes()
+    assert np.array_equal(from_slots.counts, fitted.counts)
+    assert np.array_equal(from_slots.counts, reference_counts(pooled, box, b))
+    assert from_slots.total == fitted.total == len(pooled)
+    assert from_slots.values.tobytes() == fitted.values.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,18 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "flag", [("--dt", "nan"), ("--dt", "inf"), ("--lambda0", "nan"), ("--lambda0", "inf")]
+)
+def test_non_finite_flow_setting_writes_nothing(tmp_path, capsys, flag):
+    out = tmp_path / "nonfinite"
+    assert run_cli(*small_run_args(out, extra=flag)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{flag[0][2:]} must be finite" in err
+    assert not out.exists()
+
+
 def test_config_unknown_keys_rejected(tmp_path, capsys):
     config = tmp_path / "typo.cfg"
     config.write_text("scenario = gaussian_pair\nbins = 7\nstep = 3\n")

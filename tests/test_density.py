@@ -129,6 +129,48 @@ def test_sign_average_equals_central_difference():
         assert 0.5 * (g_plus[0, a] + g_minus[0, a]) == pytest.approx(central, rel=1e-12)
 
 
+def test_upper_face_reads_inward_difference():
+    # a particle clamped to the upper face lies in the last cell; a downward
+    # draw differences it against the cell below, not against itself
+    rng = np.random.default_rng(8)
+    b = 4
+    h = m.fit_histogram(rng.normal([0.7, 0.4], 0.2, (3000, 2)), unit_box(), b)
+    ref = uniform_fit(unit_box(), b, 2)
+    f = np.log(h.values / ref.values).reshape(b, b)
+    w = h.bin_widths
+    x = np.array([[1.0, 0.4], [0.6, 1.0]])
+    g = drift("forward", h, ref, x, FixedSignRng(0))
+    assert g[0, 0] == pytest.approx((f[b - 1, 1] - f[b - 2, 1]) / w[0], rel=1e-12)
+    assert g[1, 1] == pytest.approx((f[2, b - 1] - f[2, b - 2]) / w[1], rel=1e-12)
+    assert g[0, 0] != 0.0 and g[1, 1] != 0.0
+
+
+@pytest.mark.parametrize("variant", ["forward", "reverse"])
+def test_points_outside_the_box_read_zero(variant):
+    rng = np.random.default_rng(9)
+    h = m.fit_histogram(rng.normal(0.5, 0.2, (2000, 2)), unit_box(), 6)
+    ref = m.fit_histogram(rng.normal(0.5, 0.3, (2000, 2)), unit_box(), 6)
+    x = np.array([[1.5, 0.5], [-0.2, 0.3], [0.5, 2.0], [1.0 + 1e-12, 1.0], [-3.0, -3.0]])
+    for bit in (0, 1):
+        g = drift(variant, h, ref, x, FixedSignRng(bit))
+        assert g.tobytes() == np.zeros_like(g).tobytes()  # +0.0, not -0.0
+
+
+def test_points_of_another_dimension_are_rejected():
+    rng = np.random.default_rng(10)
+    h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
+    with pytest.raises(ValueError, match="dim 1, box has dim 2"):
+        h.density_at([[0.9], [0.1]])
+    with pytest.raises(ValueError, match="dim 3, box has dim 2"):
+        h.density_at([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="dim 1, box has dim 2"):
+        drift("forward", h, h, np.array([[0.9], [0.1]]), rng)
+    # slots of 2-D points offered with 3-D points
+    slots = bin_points(h.box, 4, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        m.grad_log_ratio_reverse(h, h, np.full((2, 3), 0.5), rng, slots)
+
+
 def self_ratio_drift(variant, seed, n_probes):
     """Mean drift between two histograms fitted from independent samples of
     one Gaussian law, probed in the covered bulk (|x| < 2 sigma).

@@ -22,9 +22,9 @@ def small_config(**overrides):
 def step_binned(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng):
     """``step_particles`` with the mobile families binned on the grids of
     ``rho1`` and ``rho2``."""
-    x2_cells = bin_points(rho1.box, rho1.bins_per_dim, ps.x2)
-    y1_cells = bin_points(rho2.box, rho2.bins_per_dim, ps.y1)
-    return m.step_particles(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng, x2_cells, y1_cells)
+    x2_slots = bin_points(rho1.box, rho1.bins_per_dim, ps.x2)
+    y1_slots = bin_points(rho2.box, rho2.bins_per_dim, ps.y1)
+    return m.step_particles(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng, x2_slots, y1_slots)
 
 
 def test_init_zero_eta_pairs_coincide(gaussian_pair):
@@ -224,35 +224,11 @@ def test_fixed_penalty_descent_window(gaussian_pair, cost):
     # frozen penalty, no noise: the discrete energy never rises materially
     mu, nu = gaussian_pair
     cfg = gaussian_experiment_config(
-        seed=3, n_pairs=2000, steps=200, noise_std_coeff=0.0, lambda0=1.0
+        seed=3, n_pairs=2000, steps=200, noise_std_coeff=0.0, lambda0=1.0, beta=0.0
     )
-    lam = 1.0
-    rng_root = np.random.SeedSequence(cfg.seed)
-    init_ss, ref_ss, *step_ss = rng_root.spawn(cfg.steps + 2)
-    ps = m.init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
-    from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
-
-    ref_rng = np.random.default_rng(ref_ss)
-    mu_samples = mu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    nu_samples = nu.sample(REF_SAMPLE_FACTOR * cfg.n_pairs, ref_rng)
-    box_x = m.Box.hull([ps.x1, ps.x2, mu_samples], BOX_PAD_FRACTION)
-    box_y = m.Box.hull([ps.y1, ps.y2, nu_samples], BOX_PAD_FRACTION)
-    mu_ref = m.fit_histogram(mu_samples, box_x, cfg.bins_per_dim)
-    nu_ref = m.fit_histogram(nu_samples, box_y, cfg.bins_per_dim)
-
-    energies = []
-    for k in range(cfg.steps + 1):
-        rho1 = m.fit_histogram(ps.pooled_x(), box_x, cfg.bins_per_dim)
-        rho2 = m.fit_histogram(ps.pooled_y(), box_y, cfg.bins_per_dim)
-        kl1 = m.kl_estimate(rho1, mu)
-        kl2 = m.kl_estimate(rho2, nu)
-        energies.append(m.empirical_coupling_cost(ps, cost) + lam * (kl1 + kl2))
-        if k == cfg.steps:
-            break
-        ps = step_binned(
-            ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, np.random.default_rng(step_ss[k])
-        )
-    energies = np.array(energies)
+    traj = m.run(mu, nu, cost, cfg)
+    assert np.all(traj.lam == cfg.lambda0)
+    energies = traj.cost + traj.lam * (traj.kl1 + traj.kl2)
     assert energies[-1] <= energies[0]
     tolerance = 0.05 * energies[0]
     for start in range(0, len(energies) - 50):

@@ -232,7 +232,7 @@ def test_flow_config_validation():
     for bad in (
         dict(n_pairs=0),
         dict(dt=0.0),
-        dict(beta=0.0),
+        dict(beta=-0.1),
         dict(beta=1.0),
         dict(lambda0=0.0),
         dict(bins_per_dim=1),
@@ -242,6 +242,14 @@ def test_flow_config_validation():
     ):
         with pytest.raises(ValueError):
             m.FlowConfig(**bad)
+    assert m.FlowConfig(beta=0.0).beta == 0.0  # the fixed-penalty run
+
+
+@pytest.mark.parametrize("name", ["dt", "lambda0", "noise_std_coeff", "eta_var"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_flow_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        m.FlowConfig(**{name: value})
 
 
 def test_box_validation():
