@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import fit_histogram, kl_estimate, kl_estimate_reverse, l2_error
+from .density import (
+    fit_histogram,
+    kl_estimate,
+    kl_estimate_reverse,
+    l2_error,
+    reference_at_centers,
+)
 from .flow import (
     BOX_PAD_FRACTION,
     FlowDivergedError,
@@ -45,10 +51,18 @@ from .response import ResponseEvaluator, penalty_ode_steps
 
 SCENARIOS = ("gaussian_pair", "ring_to_mixture", "custom_csv")
 
+# The gaussian_pair scenario: N(mean, cov) for each mean, one shared cov.
+GAUSS_MEANS = ((0.4, 0.4), (0.6, 0.6))
+GAUSS_COV = 0.02 * np.eye(2)
+GAUSS_COV.setflags(write=False)
+
 
 @dataclass
 class ExperimentSpec:
-    """A fully resolved experiment: scenario, method, flow config, outputs."""
+    """A fully resolved experiment: scenario, method, flow config, outputs.
+
+    The method sets the flow's divergence variants (``method_preset``).
+    """
 
     scenario: str
     method: str
@@ -62,6 +76,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        variant_x, variant_y = method_preset(self.method)
+        self.flow = dataclasses.replace(
+            self.flow, kl_variant_x=variant_x, kl_variant_y=variant_y
+        )
         if any(not 0.0 <= s <= 1.0 for s in self.interpolant_s_values):
             raise ValueError("interpolant s values must lie in [0, 1]")
         if any(not 0 <= k <= self.flow.steps for k in self.snapshot_steps):
@@ -71,8 +89,7 @@ class ExperimentSpec:
 
 def scenario_marginals(spec: ExperimentSpec) -> tuple[Marginal, Marginal]:
     if spec.scenario == "gaussian_pair":
-        cov = 0.02 * np.eye(2)
-        return make_gaussian([0.4, 0.4], cov), make_gaussian([0.6, 0.6], cov)
+        return tuple(make_gaussian(mean, GAUSS_COV) for mean in GAUSS_MEANS)
     if spec.scenario == "ring_to_mixture":
         mu = make_ring_peak()
         parts = [
@@ -117,7 +134,7 @@ def resolve_flow_config(scenario: str, config_values: dict, flag_values: dict) -
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value text; '#' starts a comment; keys match flag names."""
+    """Flat key = value text; '#' starts a comment; keys are setting names."""
     values: dict = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -130,34 +147,32 @@ def read_config_file(path) -> dict:
     return values
 
 
-_FLOW_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(FlowConfig)}
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v)
 
 
-# Keys a --config file may set: the flow settings plus the experiment fields
-# that write_resolved_config records, so a resolved config can be fed back.
-_CONFIG_KEYS = set(_FLOW_KEY_TYPES) | {
-    "particles", "scenario", "method", "out", "mu_csv", "nu_csv",
-    "snapshot_steps", "interpolant_s_values",
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v)
+
+
+# Every setting a flag or a --config file may give, with the parser of its
+# text. The flag's dest, the config key and the resolved_config.txt line
+# share the name, so a resolved config can be fed back.
+_SETTINGS = {f.name: type(f.default) for f in dataclasses.fields(FlowConfig)} | {
+    "scenario": str,
+    "method": str,
+    "out": str,
+    "mu_csv": str,
+    "nu_csv": str,
+    "particles": int,
+    "snapshot_steps": _ints,
+    "interpolant_s_values": _floats,
 }
 
 
-def _flow_values_from_config(values: dict) -> dict:
-    out = {}
-    for key, conv in _FLOW_KEY_TYPES.items():
-        if key in values:
-            out[key] = conv(values[key])
-    if "particles" in values:
-        out["n_pairs"] = _pairs_from_total(int(values["particles"]))
-    return out
-
-
-def _pairs_from_total(total_pairs: int) -> int:
-    if total_pairs % 2 != 0:
-        raise ValueError("--particles counts both families and must be even")
-    return total_pairs // 2
-
-
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -170,10 +185,8 @@ def write_resolved_config(path: Path, spec: ExperimentSpec) -> None:
     ]
     for f in dataclasses.fields(FlowConfig):
         lines.append(f"{f.name} = {_fmt(getattr(spec.flow, f.name))}")
-    lines.append(f"snapshot_steps = {','.join(str(k) for k in spec.snapshot_steps)}")
-    lines.append(
-        f"interpolant_s_values = {','.join(repr(s) for s in spec.interpolant_s_values)}"
-    )
+    lines.append(f"snapshot_steps = {_fmt(spec.snapshot_steps)}")
+    lines.append(f"interpolant_s_values = {_fmt(spec.interpolant_s_values)}")
     if spec.mu_csv:
         lines.append(f"mu_csv = {spec.mu_csv}")
     if spec.nu_csv:
@@ -201,8 +214,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
     """Execute the flow and write trajectory, snapshots, interpolants, summary."""
     mu, nu = scenario_marginals(spec)
     cost = quadratic_cost()
-    variant_x, variant_y = method_preset(spec.method)
-    cfg = dataclasses.replace(spec.flow, kl_variant_x=variant_x, kl_variant_y=variant_y)
+    cfg = spec.flow
 
     out = spec.outputs
     out.mkdir(parents=True, exist_ok=True)
@@ -246,8 +258,7 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
 
     rows = []
     for method in ("I", "II", "III"):
-        variant_x, variant_y = method_preset(method)
-        cfg = dataclasses.replace(spec.flow, kl_variant_x=variant_x, kl_variant_y=variant_y)
+        cfg = dataclasses.replace(spec, method=method).flow
         recorder = TrajectoryRecorder(snapshot_steps=(cfg.steps,))
         try:
             traj = run(mu, nu, cost, cfg, recorder=recorder)
@@ -267,13 +278,13 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
 
 def marginal_error_table(ps, mu: Marginal, nu: Marginal, bins_per_dim: int):
     """Final-state marginal errors: summed L2, forward KL, reverse KL, total."""
-    box_x = Box.hull([ps.x1, ps.x2], BOX_PAD_FRACTION)
-    box_y = Box.hull([ps.y1, ps.y2], BOX_PAD_FRACTION)
-    rho1 = fit_histogram(ps.pooled_x(), box_x, bins_per_dim)
-    rho2 = fit_histogram(ps.pooled_y(), box_y, bins_per_dim)
-    l2 = l2_error(rho1, mu) + l2_error(rho2, nu)
-    kl = kl_estimate(rho1, mu) + kl_estimate(rho2, nu)
-    rkl = kl_estimate_reverse(rho1, mu) + kl_estimate_reverse(rho2, nu)
+
+    def errors(points, ref):
+        rho = fit_histogram(points, Box.hull([points], BOX_PAD_FRACTION), bins_per_dim)
+        q = reference_at_centers(rho, ref)
+        return l2_error(rho, q), kl_estimate(rho, q), kl_estimate_reverse(rho, q)
+
+    l2, kl, rkl = (a + b for a, b in zip(errors(ps.pooled_x(), mu), errors(ps.pooled_y(), nu)))
     return l2, kl, rkl, kl + rkl
 
 
@@ -340,8 +351,7 @@ def cmd_validate_response(
 
 def _scenario_optimal_cost(spec: ExperimentSpec, mu, nu, cost) -> float:
     if spec.scenario == "gaussian_pair":
-        cov = 0.02 * np.eye(2)
-        return gaussian_w2_squared([0.4, 0.4], cov, [0.6, 0.6], cov)
+        return gaussian_w2_squared(GAUSS_MEANS[0], GAUSS_COV, GAUSS_MEANS[1], GAUSS_COV)
     # Exact discrete surrogate on a moderate sample for non-Gaussian scenarios.
     from .oracle import discrete_ot
 
@@ -358,33 +368,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def setting(p, flag, dest=None, **kwargs):
+        """A flag that sets the named setting, parsed by its table entry."""
+        dest = dest or flag[2:].replace("-", "_")
+        p.add_argument(flag, dest=dest, type=_SETTINGS[dest], **kwargs)
+
     def add_common(p):
-        p.add_argument("--config", type=str, default=None, help="key = value config file")
-        p.add_argument("--scenario", choices=SCENARIOS, default=None)
-        p.add_argument("--method", choices=("I", "II", "III"), default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--lambda0", type=float, default=None)
-        p.add_argument(
-            "--particles",
-            type=int,
-            default=None,
-            help="total particle pairs over both families (must be even)",
-        )
-        p.add_argument("--bins", type=int, default=None, help="bins per grid dimension")
-        p.add_argument("--mu-csv", type=str, default=None)
-        p.add_argument("--nu-csv", type=str, default=None)
+        p.add_argument("--config", help="key = value config file")
+        setting(p, "--scenario", choices=SCENARIOS)
+        setting(p, "--method", choices=("I", "II", "III"))
+        setting(p, "--out", help="output directory")
+        for flag in ("--seed", "--steps", "--dt", "--beta", "--lambda0"):
+            setting(p, flag)
+        setting(p, "--particles", help="total particle pairs over both families (must be even)")
+        setting(p, "--bins", "bins_per_dim", help="bins per grid dimension")
+        setting(p, "--mu-csv")
+        setting(p, "--nu-csv")
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_common(p_run)
-    p_run.add_argument(
-        "--snapshot-steps", type=str, default="", help="comma-separated step indices"
-    )
-    p_run.add_argument(
-        "--interpolant-s", type=str, default=None,
+    setting(p_run, "--snapshot-steps", help="comma-separated step indices")
+    setting(
+        p_run, "--interpolant-s", "interpolant_s_values",
         help="comma-separated s values (default 0.25,0.5,0.75)",
     )
 
@@ -403,51 +408,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    config_values = read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(config_values) - _CONFIG_KEYS)
+    """Lay the flags over the --config values and build the experiment."""
+    text = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(text) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    scenario = args.scenario or config_values.get("scenario", "gaussian_pair")
-    method = args.method or config_values.get("method", "I")
-    out = args.out or config_values.get("out", "minmaxot_out")
+    values = {key: _SETTINGS[key](val) for key, val in text.items()}
+    values.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    if "particles" in values:
+        total = values.pop("particles")
+        if total % 2 != 0:
+            raise ValueError("particles counts both families and must be even")
+        values["n_pairs"] = total // 2
 
-    flag_values = {}
-    for key in ("steps", "dt", "beta", "lambda0", "seed"):
-        val = getattr(args, key)
-        if val is not None:
-            flag_values[key] = val
-    if args.particles is not None:
-        flag_values["n_pairs"] = _pairs_from_total(args.particles)
-    if args.bins is not None:
-        flag_values["bins_per_dim"] = args.bins
-
-    flow = resolve_flow_config(scenario, _flow_values_from_config(config_values), flag_values)
-
-    snapshot_steps: tuple[int, ...] = ()
-    if getattr(args, "snapshot_steps", ""):
-        snapshot_steps = tuple(int(v) for v in args.snapshot_steps.split(",") if v)
-    elif "snapshot_steps" in config_values and config_values["snapshot_steps"]:
-        snapshot_steps = tuple(
-            int(v) for v in config_values["snapshot_steps"].split(",") if v
-        )
-
-    s_values: tuple[float, ...] = (0.25, 0.5, 0.75)
-    if getattr(args, "interpolant_s", None):
-        s_values = tuple(float(v) for v in args.interpolant_s.split(",") if v)
-    elif "interpolant_s_values" in config_values:
-        s_values = tuple(
-            float(v) for v in config_values["interpolant_s_values"].split(",") if v
-        )
-
+    method = values.pop("method", "I")
+    for key, variant in zip(("kl_variant_x", "kl_variant_y"), method_preset(method)):
+        if values.get(key, variant) != variant:
+            raise ValueError(
+                f"{key} = {values[key]} contradicts method {method}, which sets {variant}"
+            )
+    scenario = values.pop("scenario", "gaussian_pair")
+    flow_values = {
+        f.name: values.pop(f.name) for f in dataclasses.fields(FlowConfig) if f.name in values
+    }
     return ExperimentSpec(
         scenario=scenario,
         method=method,
-        flow=flow,
-        outputs=Path(out),
-        snapshot_steps=snapshot_steps,
-        interpolant_s_values=s_values,
-        mu_csv=args.mu_csv or config_values.get("mu_csv"),
-        nu_csv=args.nu_csv or config_values.get("nu_csv"),
+        flow=resolve_flow_config(scenario, flow_values, {}),
+        outputs=Path(values.pop("out", "minmaxot_out")),
+        **values,
     )
 
 

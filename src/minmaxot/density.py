@@ -261,30 +261,26 @@ def reference_at_centers(h: HistogramDensity, ref) -> np.ndarray:
     return np.maximum(ref.density_at(grid_centers(h.box, h.bins_per_dim)), h.floor_eps)
 
 
-def kl_estimate(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
+def kl_estimate(p_hist: HistogramDensity, q: np.ndarray) -> float:
     """Plug-in KL divergence of the histogram against a reference density.
 
     Midpoint rule on the histogram grid: sum over occupied bins of
-    p log(p / q) * cell_volume with q the reference at the bin center,
-    floored; clamped below at 0. ``ref_center_values`` may carry
-    ``reference_at_centers(p_hist, ref)``, computed once.
+    p log(p / q) * cell_volume, with ``q = reference_at_centers(p_hist, ref)``
+    the floored reference at the bin centers; clamped below at 0.
     """
-    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
     p = p_hist.values
     occupied = p > p_hist.floor_eps
     kl = float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])) * p_hist.cell_volume)
     return max(kl, 0.0)
 
 
-def kl_estimate_reverse(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
-    """Plug-in KL of the reference against the histogram, on the same grid."""
-    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
+def kl_estimate_reverse(p_hist: HistogramDensity, q: np.ndarray) -> float:
+    """Plug-in KL of the reference cell values ``q`` against the histogram."""
     p = p_hist.values
     kl = float(np.sum(q * np.log(q / p)) * p_hist.cell_volume)
     return max(kl, 0.0)
 
 
-def l2_error(p_hist: HistogramDensity, ref, ref_center_values: np.ndarray | None = None) -> float:
-    """Squared L2 distance between the histogram and the reference at bin centers."""
-    q = reference_at_centers(p_hist, ref) if ref_center_values is None else ref_center_values
+def l2_error(p_hist: HistogramDensity, q: np.ndarray) -> float:
+    """Squared L2 distance between the histogram and the reference cell values ``q``."""
     return float(np.sum((p_hist.values - q) ** 2) * p_hist.cell_volume)

@@ -321,13 +321,6 @@ def run(
     q_mu = reference_at_centers(mu_ref, mu if mu.kind == "analytic" else mu_ref)
     q_nu = reference_at_centers(nu_ref, nu if nu.kind == "analytic" else nu_ref)
 
-    def _diagnostics(rho1, rho2):
-        kl1 = kl_estimate(rho1, mu, ref_center_values=q_mu)
-        kl2 = kl_estimate(rho2, nu, ref_center_values=q_nu)
-        l2_1 = l2_error(rho1, mu, ref_center_values=q_mu)
-        l2_2 = l2_error(rho2, nu, ref_center_values=q_nu)
-        return kl1, kl2, l2_1, l2_2
-
     # The frozen families never move: bin them once. The mobile ones are
     # binned once per step, and their slots serve both the fit and the drift.
     x1_slots = bin_points(box_x, b, ps.x1)
@@ -339,7 +332,8 @@ def run(
             y1_slots = bin_points(box_y, b, ps.y1)
             rho1 = histogram_from_cells(box_x, b, x1_slots, x2_slots)
             rho2 = histogram_from_cells(box_y, b, y1_slots, y2_slots)
-            kl1, kl2, l2_1, l2_2 = _diagnostics(rho1, rho2)
+            kl1, kl2 = kl_estimate(rho1, q_mu), kl_estimate(rho2, q_nu)
+            l2_1, l2_2 = l2_error(rho1, q_mu), l2_error(rho2, q_nu)
             pair_cost = empirical_coupling_cost(ps, cost)
             recorder.record(k * cfg.dt, ps, kl1, kl2, pair_cost, l2_1, l2_2)
             if k == cfg.steps:

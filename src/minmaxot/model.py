@@ -383,5 +383,7 @@ class FlowConfig:
             raise ValueError("eta_var must be >= 0")
         if self.bins_per_dim < 2:
             raise ValueError("bins_per_dim must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kl_variant_x not in _VARIANTS or self.kl_variant_y not in _VARIANTS:
             raise ValueError(f"kl variants must be one of {_VARIANTS}")

@@ -278,10 +278,10 @@ def reference_run(mu, nu, cost, cfg):
     for k in range(cfg.steps + 1):
         rho1 = fit(np.vstack([x1, x2]), box_x)
         rho2 = fit(np.vstack([y1, y2]), box_y)
-        kl1 = m.kl_estimate(rho1, mu, ref_center_values=q_mu)
-        kl2 = m.kl_estimate(rho2, nu, ref_center_values=q_nu)
-        l2_1 = m.l2_error(rho1, mu, ref_center_values=q_mu)
-        l2_2 = m.l2_error(rho2, nu, ref_center_values=q_nu)
+        kl1 = m.kl_estimate(rho1, q_mu)
+        kl2 = m.kl_estimate(rho2, q_nu)
+        l2_1 = m.l2_error(rho1, q_mu)
+        l2_2 = m.l2_error(rho2, q_nu)
         c1, c2 = cost.evaluate(x1, y1), cost.evaluate(x2, y2)
         pair_cost = float((np.sum(c1) + np.sum(c2)) / (len(x1) + len(x2)))
         rows.append((k * cfg.dt, lam, kl1, kl2, pair_cost, l2_1, l2_2))

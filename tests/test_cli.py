@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 import minmaxot.cli as cli
-from minmaxot.flow import FlowDivergedError
+from minmaxot.flow import FlowDivergedError, run
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def small_run_args(out, seed=3, extra=()):
+def small_run_args(out, seed=3, extra=(), method="I"):
     return (
         "run",
         "--scenario", "gaussian_pair",
-        "--method", "I",
+        "--method", method,
         "--out", str(out),
         "--particles", "800",
         "--steps", "12",
@@ -120,6 +120,7 @@ def test_config_file_layering(tmp_path):
     assert "steps = 4" in resolved
     assert "method = II" in resolved
     assert "n_pairs = 300" in resolved
+    assert "kl_variant_x = reverse\nkl_variant_y = reverse\n" in resolved
 
 
 def test_config_interpolant_s_values_layering(tmp_path):
@@ -185,6 +186,74 @@ def test_non_finite_flow_setting_writes_nothing(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_config_snapshot_steps_layering(tmp_path):
+    config = tmp_path / "snap.cfg"
+    config.write_text(
+        "scenario = gaussian_pair\n"
+        "particles = 400\n"
+        "steps = 3\n"
+        "bins_per_dim = 8\n"
+        "snapshot_steps = 1\n"
+    )
+    out = tmp_path / "from_config"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("particles_step*.csv")) == ["particles_step1.csv"]
+    # the flag wins over the config value
+    out = tmp_path / "from_flag"
+    assert run_cli(
+        "run", "--config", str(config), "--out", str(out), "--snapshot-steps", "0,2"
+    ) == 0
+    names = sorted(p.name for p in out.glob("particles_step*.csv"))
+    assert names == ["particles_step0.csv", "particles_step2.csv"]
+    assert "snapshot_steps = 0,2\n" in (out / "resolved_config.txt").read_text()
+
+
+@pytest.mark.parametrize("method", ["I", "II", "III"])
+def test_resolved_config_records_method_variants(tmp_path, monkeypatch, method):
+    variants = {
+        "I": ("forward", "forward"), "II": ("reverse", "reverse"), "III": ("reverse", "forward")
+    }[method]
+    ran = []
+
+    def recording_run(mu, nu, cost, cfg, **kwargs):
+        ran.append((cfg.kl_variant_x, cfg.kl_variant_y))
+        return run(mu, nu, cost, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    out = tmp_path / "variants"
+    assert run_cli(*small_run_args(out, method=method, extra=("--steps", "1"))) == 0
+    assert ran == [variants]
+    resolved = (out / "resolved_config.txt").read_text()
+    assert f"kl_variant_x = {variants[0]}\nkl_variant_y = {variants[1]}\n" in resolved
+
+
+def test_config_variant_contradicting_method_rejected(tmp_path, capsys):
+    config = tmp_path / "contra.cfg"
+    config.write_text("method = I\nkl_variant_x = reverse\nsteps = 1\nparticles = 400\n")
+    out = tmp_path / "contra_out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "kl_variant_x" in err and "method I" in err
+    assert not out.exists()
+
+
+def test_negative_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "negative_seed"
+    assert run_cli(*small_run_args(out, seed=-1)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare-methods"])
+def test_every_flag_names_a_setting(command):
+    # a flag's dest is the config key and the resolved_config.txt name
+    args = cli._build_parser().parse_args([command])
+    assert set(vars(args)) - {"command", "config"} <= set(cli._SETTINGS)
+
+
 def test_config_unknown_keys_rejected(tmp_path, capsys):
     config = tmp_path / "typo.cfg"
     config.write_text("scenario = gaussian_pair\nbins = 7\nstep = 3\n")
@@ -196,14 +265,16 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
 
 
 def test_resolved_config_feeds_back(tmp_path):
-    first = tmp_path / "first"
-    assert run_cli(*small_run_args(first, extra=("--snapshot-steps", "12"))) == 0
-    again = tmp_path / "again"
-    assert run_cli(
-        "run", "--config", str(first / "resolved_config.txt"), "--out", str(again)
-    ) == 0
-    for name in ("resolved_config.txt", "trajectory.csv", "particles_step12.csv"):
-        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    for method in ("I", "II"):
+        first = tmp_path / f"first_{method}"
+        args = small_run_args(first, method=method, extra=("--snapshot-steps", "12"))
+        assert run_cli(*args) == 0
+        again = tmp_path / f"again_{method}"
+        assert run_cli(
+            "run", "--config", str(first / "resolved_config.txt"), "--out", str(again)
+        ) == 0
+        for name in ("resolved_config.txt", "trajectory.csv", "particles_step12.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), (method, name)
 
 
 def test_custom_csv_scenario(tmp_path):

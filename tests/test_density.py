@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmaxot as m
-from minmaxot.density import bin_points, grid_centers
+from minmaxot.density import bin_points, grid_centers, reference_at_centers
 
 
 def unit_box():
@@ -218,7 +218,7 @@ def test_reverse_gradient_finite_when_reference_vanishes():
 def test_kl_estimate_of_itself_is_zero():
     rng = np.random.default_rng(6)
     h = m.fit_histogram(rng.random((2000, 2)), unit_box(), 8)
-    assert m.kl_estimate(h, h) == 0.0
+    assert m.kl_estimate(h, reference_at_centers(h, h)) == 0.0
 
 
 def test_kl_estimate_sampled_gaussian_bias():
@@ -227,7 +227,7 @@ def test_kl_estimate_sampled_gaussian_bias():
     pts = marg.sample(100_000, rng)
     box = m.Box.hull([pts], 0.05)
     h = m.fit_histogram(pts, box, 50)
-    assert m.kl_estimate(h, marg) <= 0.15
+    assert m.kl_estimate(h, reference_at_centers(h, marg)) <= 0.15
 
 
 def test_kl_estimate_matches_gaussian_closed_form():
@@ -242,13 +242,13 @@ def test_kl_estimate_matches_gaussian_closed_form():
     h = m.HistogramDensity(box=box, bins_per_dim=b, counts=counts, total=int(counts.sum()))
     expected = m.gaussian_kl([0.0, 0.0], np.eye(2), [0.6, 0.8], np.eye(2))
     assert expected == pytest.approx(0.5)
-    assert m.kl_estimate(h, q) == pytest.approx(expected, rel=0.05)
+    assert m.kl_estimate(h, reference_at_centers(h, q)) == pytest.approx(expected, rel=0.05)
 
 
 def test_l2_error_conventions():
     rng = np.random.default_rng(8)
     h = m.fit_histogram(rng.random((2000, 2)), unit_box(), 8)
-    assert m.l2_error(h, h) == 0.0
+    assert m.l2_error(h, reference_at_centers(h, h)) == 0.0
 
     # disjointly supported uniforms on a shared domain: integral of p^2 + q^2
     box = m.Box(np.array([0.0, 0.0]), np.array([2.0, 1.0]))
@@ -261,7 +261,7 @@ def test_l2_error_conventions():
             x = np.atleast_2d(x)
             return np.where(x[:, 0] >= 1.0, 1.0, 0.0)
 
-    val = m.l2_error(h_left, RightHalfUniform())
+    val = m.l2_error(h_left, reference_at_centers(h_left, RightHalfUniform()))
     assert val == pytest.approx(2.0, rel=1e-6)
 
 
@@ -269,6 +269,6 @@ def test_kl_reverse_estimate_percell():
     rng = np.random.default_rng(10)
     h = m.fit_histogram(rng.random((3000, 2)), unit_box(), 4)
     ref = ConstantDensity(1.0)
-    assert m.kl_estimate_reverse(h, ref) >= 0.0
+    assert m.kl_estimate_reverse(h, reference_at_centers(h, ref)) >= 0.0
     # reversed KL of the histogram against itself vanishes
-    assert m.kl_estimate_reverse(h, h) == 0.0
+    assert m.kl_estimate_reverse(h, reference_at_centers(h, h)) == 0.0

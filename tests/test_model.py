@@ -242,6 +242,8 @@ def test_flow_config_validation():
     ):
         with pytest.raises(ValueError):
             m.FlowConfig(**bad)
+    with pytest.raises(ValueError, match="seed"):
+        m.FlowConfig(seed=-1)
     assert m.FlowConfig(beta=0.0).beta == 0.0  # the fixed-penalty run
 
 
