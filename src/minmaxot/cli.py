@@ -413,7 +413,12 @@ def _spec_from_args(args) -> ExperimentSpec:
     unknown = sorted(set(text) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    values = {key: _SETTINGS[key](val) for key, val in text.items()}
+    values = {}
+    for key, val in text.items():
+        try:
+            values[key] = _SETTINGS[key](val)
+        except ValueError as err:
+            raise ValueError(f"bad value for {key} in {args.config}: {val!r} ({err})") from err
     values.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
     if "particles" in values:
         total = values.pop("particles")

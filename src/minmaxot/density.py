@@ -21,6 +21,7 @@ differences, and the drift reads it at the particles' slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,8 @@ class HistogramDensity:
     The value on an occupied cell is count / (total * cell_volume); cells
     below the floor, and any query outside the box, report ``floor_eps``.
     ``total`` counts all points offered to the fit, including those that fell
-    outside the box.
+    outside the box. The grid's ``bin_widths`` (read-only), ``cell_volume``
+    and ``floor_eps`` are computed once, at construction.
     """
 
     box: Box
@@ -74,6 +76,10 @@ class HistogramDensity:
     counts: np.ndarray  # flat, length bins_per_dim ** dim
     total: int
     values: np.ndarray = field(init=False, repr=False)
+    bin_widths: np.ndarray = field(init=False, repr=False)
+    cell_volume: float = field(init=False, repr=False)
+    # Contributes at most 1e-10 mass per bin while keeping logs finite.
+    floor_eps: float = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64).ravel()
@@ -85,6 +91,12 @@ class HistogramDensity:
         if self.total < counts.sum():
             raise ValueError("total must be at least the number of binned points")
         object.__setattr__(self, "counts", counts)
+        bin_widths = self.box.widths / self.bins_per_dim
+        bin_widths.setflags(write=False)
+        cell_volume = float(np.prod(bin_widths))
+        object.__setattr__(self, "bin_widths", bin_widths)
+        object.__setattr__(self, "cell_volume", cell_volume)
+        object.__setattr__(self, "floor_eps", 1e-10 / cell_volume)
         values = counts / (self.total * self.cell_volume)
         np.maximum(values, self.floor_eps, out=values)
         object.__setattr__(self, "values", values)
@@ -92,19 +104,6 @@ class HistogramDensity:
     @property
     def dim(self) -> int:
         return self.box.dim
-
-    @property
-    def bin_widths(self) -> np.ndarray:
-        return self.box.widths / self.bins_per_dim
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.bin_widths))
-
-    @property
-    def floor_eps(self) -> float:
-        # Contributes at most 1e-10 mass per bin while keeping logs finite.
-        return 1e-10 / self.cell_volume
 
     @property
     def binned_fraction(self) -> float:
@@ -179,18 +178,19 @@ def _check_same_grid(h: HistogramDensity, ref) -> None:
 
 
 def _one_sided_grad(
-    h: HistogramDensity, ref: HistogramDensity, field, x, rng, slots: np.ndarray
+    h: HistogramDensity, ref: HistogramDensity, field, x, up, slots: np.ndarray
 ) -> np.ndarray:
     """Random one-bin differences of f = field(h, ref), per coordinate.
 
-    For each coordinate a side is drawn uniformly, and the estimate on axis a
-    is (f(upper cell) - f(lower cell)) / w_a, with w_a the bin width: the
-    cell of the point and its neighbour on the drawn side. The histograms are
-    constant inside a cell, so sub-bin steps would see no variation at all,
-    and the difference depends only on the cell, the axis and the side. So f
-    is one table over the cells, and each axis gets a table of the minus- and
-    plus-side differences of every cell, read at the points' ``bin_points``
-    slots. A neighbour beyond the grid reads f's outside (floor) value.
+    For each coordinate the bit ``up`` (n, d) picks the side, below (0) or
+    above (1), and the estimate on axis a is (f(upper cell) - f(lower cell))
+    / w_a, with w_a the bin width: the cell of the point and its neighbour on
+    the drawn side. The histograms are constant inside a cell, so sub-bin
+    steps would see no variation at all, and the difference depends only on
+    the cell, the axis and the side. So f is one table over the cells, and
+    each axis gets a table of the minus- and plus-side differences of every
+    cell, read at the points' ``bin_points`` slots. A neighbour beyond the
+    grid reads f's outside (floor) value.
 
     Two cases follow from reading neighbour cells rather than the cells of
     moved points. A point on a box's upper face lies in the last cell, so its
@@ -204,8 +204,9 @@ def _one_sided_grad(
         raise ValueError(
             f"points have shape ({n}, {d}), expected ({len(slots)}, {h.dim}) on h's grid"
         )
+    if np.shape(up) != (n, d):
+        raise ValueError(f"side bits have shape {np.shape(up)}, expected ({n}, {d})")
     b = h.bins_per_dim
-    up = rng.integers(0, 2, size=(n, d))
     table = field(h.cell_values(), ref.cell_values())
     cells, outside = table[:-1].reshape((b,) * d), table[-1]
     at = 2 * slots
@@ -229,21 +230,39 @@ def _neg_ratio(hv, rv):
     return -rv / hv
 
 
+def side_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Finite-difference sides for the two mobile families: a (2, *shape)
+    array of 0/1 bits from one raw draw of ``rng``.
+
+    For a PCG64 generator holding no buffered 32-bit half-word, such as the
+    fresh one each step of ``flow.run`` uses, these are the bits of two
+    ``rng.integers(0, 2, size=shape)`` draws, and ``rng`` is left in the
+    same state. Those draws take 32-bit values, the low half of each 64-bit
+    word and then its high half, and at range 2 Lemire's method never
+    rejects and returns a value's top bit; the raw words read as
+    little-endian 32-bit halves and shifted right by 31 are the same bits.
+    """
+    bits = rng.bit_generator.random_raw(math.prod(shape)).view("<u4")
+    bits >>= 31
+    return bits.reshape((2, *shape))
+
+
 def grad_log_ratio_forward(
-    h: HistogramDensity, ref: HistogramDensity, x, rng, slots: np.ndarray
+    h: HistogramDensity, ref: HistogramDensity, x, up, slots: np.ndarray
 ) -> np.ndarray:
     """Stochastic finite-difference estimate of grad log(h / ref) at the
-    points x (n, d), whose slots are ``bin_points(h.box, h.bins_per_dim, x)``.
+    points x (n, d), whose slots are ``bin_points(h.box, h.bins_per_dim, x)``,
+    with the sides ``up`` (n, d) of 0/1 bits (one family of ``side_bits``).
 
     ``ref`` must be a histogram on h's grid; anything else raises
     ``ValueError``. This is the drift field of the divergence penalty that
     integrates the flowing density against the log ratio.
     """
-    return _one_sided_grad(h, ref, _log_ratio, x, rng, slots)
+    return _one_sided_grad(h, ref, _log_ratio, x, up, slots)
 
 
 def grad_log_ratio_reverse(
-    h: HistogramDensity, ref: HistogramDensity, x, rng, slots: np.ndarray
+    h: HistogramDensity, ref: HistogramDensity, x, up, slots: np.ndarray
 ) -> np.ndarray:
     """Stochastic finite-difference drift for the reversed divergence.
 
@@ -252,7 +271,7 @@ def grad_log_ratio_reverse(
     differencing is applied to f = -ref / h. Arguments as for
     ``grad_log_ratio_forward``.
     """
-    return _one_sided_grad(h, ref, _neg_ratio, x, rng, slots)
+    return _one_sided_grad(h, ref, _neg_ratio, x, up, slots)
 
 
 def reference_at_centers(h: HistogramDensity, ref) -> np.ndarray:

@@ -31,6 +31,7 @@ from .density import (
     kl_estimate,
     l2_error,
     reference_at_centers,
+    side_bits,
 )
 from .model import Box, CostFunction, FlowConfig, Marginal
 from .oracle import empirical_coupling_cost
@@ -209,26 +210,17 @@ def step_particles(
     and ``mu_ref``/``nu_ref`` are the drift's reference histograms on their
     grids. ``x2_slots``/``y1_slots`` are the mobile families' slots on those
     grids (``bin_points``). The frozen families are returned untouched, bit
-    for bit.
+    for bit. ``rng`` gives, in this order, the drift's sides for x2 and for
+    y1 (``side_bits``), then the noise of x2 and of y1.
     """
     dt = cfg.dt
     noise_std = cfg.noise_std_coeff * np.sqrt(dt)
 
-    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, rng, x2_slots)
-    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, rng, y1_slots)
-
-    move_x = dt * (-cost.grad_x(ps.x2, ps.y2) - ps.lam * g_x)
-    move_y = dt * (-cost.grad_y(ps.x1, ps.y1) - ps.lam * g_y)
-    # Cap the drift displacement at one bin width per axis: the histogram
-    # cannot resolve a ratio beyond its own grid, and floored cells would
-    # otherwise fling boundary particles arbitrarily far in one step.
-    _clip_columns(move_x, -rho1.bin_widths, rho1.bin_widths)
-    _clip_columns(move_y, -rho2.bin_widths, rho2.bin_widths)
-
-    x2 = ps.x2 + move_x + noise_std * rng.standard_normal(ps.x2.shape)
-    y1 = ps.y1 + move_y + noise_std * rng.standard_normal(ps.y1.shape)
-    _clip_columns(x2, rho1.box.low, rho1.box.high)
-    _clip_columns(y1, rho2.box.low, rho2.box.high)
+    up_x, up_y = side_bits(rng, ps.x2.shape)
+    g_x = _drift_estimator(cfg.kl_variant_x)(rho1, mu_ref, ps.x2, up_x, x2_slots)
+    g_y = _drift_estimator(cfg.kl_variant_y)(rho2, nu_ref, ps.y1, up_y, y1_slots)
+    x2 = _advance(ps.x2, cost.grad_x(ps.x2, ps.y2), g_x, ps.lam, dt, rho1, noise_std, rng)
+    y1 = _advance(ps.y1, cost.grad_y(ps.x1, ps.y1), g_y, ps.lam, dt, rho2, noise_std, rng)
 
     for name, arr in (("x2", x2), ("y1", y1)):
         if not np.isfinite(arr).all():
@@ -241,6 +233,31 @@ def step_particles(
     return ParticleSystem(
         x1=ps.x1, y1=y1, x2=x2, y2=ps.y2, lam=ps.lam, step_index=ps.step_index + 1
     )
+
+
+def _advance(pos, grad, g, lam, dt, rho: HistogramDensity, noise_std, rng) -> np.ndarray:
+    """New positions of one mobile family:
+    clip(pos + clip(dt * (-grad - lam * g), -w, w) + noise_std * N, box),
+    with w the bin widths and box the estimation box of ``rho``.
+
+    It works in place, on one new array and on ``g``, which the drift made
+    for this call alone, and applies the formula's operations to the same
+    operands in the same order, so the result is the same to the bit.
+    """
+    move = np.negative(grad)
+    g *= lam
+    move -= g
+    move *= dt
+    # Cap the drift displacement at one bin width per axis: the histogram
+    # cannot resolve a ratio beyond its own grid, and floored cells would
+    # otherwise fling boundary particles arbitrarily far in one step.
+    _clip_columns(move, -rho.bin_widths, rho.bin_widths)
+    move += pos
+    noise = rng.standard_normal(pos.shape)
+    noise *= noise_std
+    move += noise
+    _clip_columns(move, rho.box.low, rho.box.high)
+    return move
 
 
 def step_lambda(ps: ParticleSystem, kl1: float, kl2: float, cfg: FlowConfig) -> ParticleSystem:
@@ -350,12 +367,23 @@ def run(
     return recorder.build()
 
 
+# Rows formatted per block: bounds the strings held at once, whatever the row count.
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv_rows(fh, rows, suffix: str = "") -> None:
     """Write the rows of a 2-D float array as CSV lines with round-trip float
-    formatting (``repr``), each line ending in ``suffix``."""
-    end = suffix + "\n"
-    rows = np.asarray(rows, dtype=float).tolist()
-    fh.writelines(",".join(map(repr, row)) + end for row in rows)
+    formatting (``repr``), each line ending in ``suffix``.
+
+    Each block of rows is one ``%`` format of a repeated line template over
+    the block's floats and one write: the floats' ``repr`` is then the only
+    per-value cost.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * rows.shape[1]) + suffix.replace("%", "%%") + "\n"
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start : start + CSV_BLOCK_ROWS]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def save_trajectory_csv(path, traj: Trajectory) -> None:

@@ -385,5 +385,8 @@ class FlowConfig:
             raise ValueError("bins_per_dim must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.kl_variant_x not in _VARIANTS or self.kl_variant_y not in _VARIANTS:
-            raise ValueError(f"kl variants must be one of {_VARIANTS}")
+        for name in ("kl_variant_x", "kl_variant_y"):
+            if getattr(self, name) not in _VARIANTS:
+                raise ValueError(
+                    f"{name} must be one of {_VARIANTS}, got {getattr(self, name)!r}"
+                )

@@ -5,6 +5,7 @@ integrals, exhaustive enumeration, elementary quadrature) and deliberately
 avoids the code paths it is used to check.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -47,19 +48,26 @@ def tilted_mutual_information(var, lam, dim):
     return -0.5 * dim * np.log(1.0 - rho**2)
 
 
+@functools.cache
+def _permutation_table(n):
+    """All permutations of range(n), one per row, in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
 def brute_force_assignment(cost_matrix):
-    """Exact minimum-cost assignment by enumerating all permutations."""
+    """Exact minimum-cost assignment by enumerating all permutations.
+
+    Each permutation's cost is the sum of its n picked entries, the same
+    length-n sum whether taken one permutation at a time or as a row of the
+    (n!, n) table; ties go to the first permutation in lexicographic order.
+    """
     n = cost_matrix.shape[0]
-    best_cost = np.inf
-    best_perm = None
-    rows = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        perm = np.asarray(perm)
-        c = cost_matrix[rows, perm].sum()
-        if c < best_cost:
-            best_cost = c
-            best_perm = perm
-    return best_cost, best_perm
+    perms = _permutation_table(n)
+    costs = cost_matrix[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmin(costs))
+    return costs[best], perms[best]
 
 
 def tensor_grid_integral(density, box, points_per_axis):

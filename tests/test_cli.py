@@ -264,6 +264,20 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["seed = abc", "dt = fast", "snapshot_steps = 0,x", "particles = 1.5"]
+)
+def test_config_bad_value_names_key_and_file(tmp_path, capsys, line):
+    config = tmp_path / "bad_value.cfg"
+    config.write_text(f"scenario = gaussian_pair\n{line}\n")
+    out = tmp_path / "bad_value_out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    key, _, val = line.partition(" = ")
+    assert f"bad value for {key} in {config}: {val!r}" in err
+    assert not out.exists()
+
+
 def test_resolved_config_feeds_back(tmp_path):
     for method in ("I", "II"):
         first = tmp_path / f"first_{method}"

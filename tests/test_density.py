@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmaxot as m
-from minmaxot.density import bin_points, grid_centers, reference_at_centers
+from minmaxot.density import bin_points, grid_centers, reference_at_centers, side_bits
 
 
 def unit_box():
@@ -99,8 +99,10 @@ def uniform_fit(box, b, per_cell):
 
 
 def drift(variant, h, ref, x, rng):
+    """The drift at x with its sides drawn from ``rng`` as the flow's are."""
     estimate = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
-    return estimate(h, ref, x, rng, bin_points(h.box, h.bins_per_dim, x))
+    up = rng.integers(0, 2, size=np.shape(x))
+    return estimate(h, ref, x, up, bin_points(h.box, h.bins_per_dim, x))
 
 
 def test_grad_log_ratio_zero_for_matching_uniforms():
@@ -156,6 +158,26 @@ def test_points_outside_the_box_read_zero(variant):
         assert g.tobytes() == np.zeros_like(g).tobytes()  # +0.0, not -0.0
 
 
+@pytest.mark.parametrize("shape", [(10000, 2), (7, 1), (13, 3), (1, 1), (5, 3), (0, 2)])
+def test_side_bits_equal_two_integer_draws(shape):
+    """``side_bits`` gives the bits of two ``integers(0, 2)`` draws from a
+    fresh generator and leaves it where they leave it, so the normal draws
+    that follow are the same; odd ``n * d`` included."""
+    for seed in range(200):
+        expected_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [expected_rng.integers(0, 2, size=shape) for _ in range(2)]
+        got = side_bits(got_rng, shape)
+        assert got.shape == (2, *shape)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        # the whole state dict also holds the stale buffered half-word, which
+        # the generator ignores while has_uint32 is 0
+        want, have = expected_rng.bit_generator.state, got_rng.bit_generator.state
+        assert have["state"] == want["state"]
+        assert have["has_uint32"] == want["has_uint32"]
+        after = got_rng.standard_normal(shape)
+        assert after.tobytes() == expected_rng.standard_normal(shape).tobytes()
+
+
 def test_points_of_another_dimension_are_rejected():
     rng = np.random.default_rng(10)
     h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
@@ -167,8 +189,11 @@ def test_points_of_another_dimension_are_rejected():
         drift("forward", h, h, np.array([[0.9], [0.1]]), rng)
     # slots of 2-D points offered with 3-D points
     slots = bin_points(h.box, 4, np.full((2, 2), 0.5))
-    with pytest.raises(ValueError, match="shape"):
-        m.grad_log_ratio_reverse(h, h, np.full((2, 3), 0.5), rng, slots)
+    with pytest.raises(ValueError, match="points have shape"):
+        m.grad_log_ratio_reverse(h, h, np.full((2, 3), 0.5), np.zeros((2, 3), int), slots)
+    # side bits of another shape than the points
+    with pytest.raises(ValueError, match=r"side bits have shape \(2, 3\), expected \(2, 2\)"):
+        m.grad_log_ratio_reverse(h, h, np.full((2, 2), 0.5), np.zeros((2, 3), int), slots)
 
 
 def self_ratio_drift(variant, seed, n_probes):

@@ -5,7 +5,7 @@ import pytest
 
 import minmaxot as m
 from minmaxot.density import bin_points
-from minmaxot.flow import save_trajectory_csv, save_particles_csv
+from minmaxot.flow import CSV_BLOCK_ROWS, save_particles_csv, save_trajectory_csv, write_csv_rows
 
 from conftest import gaussian_experiment_config
 
@@ -299,3 +299,19 @@ def test_csv_rows_use_round_trip_repr():
     assert fh.getvalue() == expected
     back = np.loadtxt(io.StringIO(fh.getvalue()), delimiter=",")[:, :4]
     assert back.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS + 17])
+@pytest.mark.parametrize("suffix", ["", ",2", "%,{}"])
+def test_csv_rows_match_per_row_repr(n_rows, suffix):
+    """Block formatting writes the lines of the per-row ``repr`` form: no rows,
+    one row, exactly one block, and several blocks plus a remainder."""
+    import io
+
+    rng = np.random.default_rng(n_rows)
+    rows = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    rows[rng.random((n_rows, 3)) < 0.01] = -0.0
+    fh = io.StringIO()
+    write_csv_rows(fh, rows, suffix=suffix)
+    expected = "".join(",".join(map(repr, row)) + suffix + "\n" for row in rows.tolist())
+    assert fh.getvalue() == expected

@@ -238,10 +238,12 @@ def test_flow_config_validation():
         dict(bins_per_dim=1),
         dict(noise_std_coeff=-1.0),
         dict(eta_var=-1.0),
-        dict(kl_variant_x="sideways"),
     ):
         with pytest.raises(ValueError):
             m.FlowConfig(**bad)
+    for name in ("kl_variant_x", "kl_variant_y"):
+        with pytest.raises(ValueError, match=f"{name} must be one of .*got 'sideways'"):
+            m.FlowConfig(**{name: "sideways"})
     with pytest.raises(ValueError, match="seed"):
         m.FlowConfig(seed=-1)
     assert m.FlowConfig(beta=0.0).beta == 0.0  # the fixed-penalty run
