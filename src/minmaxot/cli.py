@@ -29,6 +29,7 @@ from .flow import (
     FlowDivergedError,
     Trajectory,
     TrajectoryRecorder,
+    frozen_rows,
     interpolant,
     method_preset,
     run,
@@ -233,8 +234,11 @@ def cmd_run(spec: ExperimentSpec) -> int:
     wall = time.perf_counter() - started
 
     save_trajectory_csv(out / "trajectory.csv", traj)
-    for k in sorted(set(requested)):
-        save_particles_csv(out / f"particles_step{k}.csv", traj.snapshots[k])
+    snapshot_steps = sorted(set(requested))
+    # The frozen families are the same floats in every snapshot: format them once.
+    frozen = frozen_rows(traj.snapshots[snapshot_steps[0]]) if snapshot_steps else None
+    for k in snapshot_steps:
+        save_particles_csv(out / f"particles_step{k}.csv", traj.snapshots[k], frozen)
     last = traj.snapshots[cfg.steps]
     for s in spec.interpolant_s_values:
         pts = interpolant(last, s)

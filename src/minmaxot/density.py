@@ -8,19 +8,21 @@ over the points plus one pass over the bins.
 Every point is binned through ``bin_points``, which returns its table slot:
 its flat cell, or one outside slot for points off the grid. A fit is a
 ``bincount`` of those slots, and the particle flow reuses them: the frozen
-families are binned once per run, the mobile ones once per step, and the fit
-sums the counts of both.
+families are binned and counted once per run, the mobile ones binned once per
+step, and the fit adds the mobile counts to the frozen ones.
 
 The drift differentiates the penalty's first variation, log(h/ref) or
 -ref/h, where h is the flowing histogram and ref a reference histogram on
 the same grid. Both are piecewise constant on the same cells, so a one-bin
 difference of the field depends only on the cell, the axis and the side.
 Each step builds, per axis, one table of every cell's minus- and plus-side
-differences, and the drift reads it at the particles' slots.
+differences from neighbour slots built once per grid shape, and the drift
+reads it at the particles' slots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,16 +50,22 @@ def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> np.ndarray:
     if d != box.dim:
         raise ValueError(f"points have dim {d}, box has dim {box.dim}")
     steps = box.widths / b
-    flat = np.zeros(n, dtype=np.int64)
-    in_box = np.ones(n, dtype=bool)
     for a in range(d):
-        scaled = (pts[:, a] - box.low[a]) / steps[a]
-        in_box &= (scaled >= 0.0) & (scaled <= b)
+        scaled = pts[:, a] - box.low[a]
+        scaled /= steps[a]
+        inside = scaled >= 0.0
+        inside &= scaled <= b
         idx = scaled.astype(np.int64)  # floor for in-box points
-        np.clip(idx, 0, b - 1, out=idx)
-        flat *= b
-        flat += idx
-    return np.where(in_box, flat, b**d)
+        np.minimum(idx, b - 1, out=idx)  # the upper face is in the last cell
+        if a == 0:
+            flat, in_box = idx, inside
+        else:
+            flat *= b
+            flat += idx
+            in_box &= inside
+    outside = np.logical_not(in_box, out=in_box)
+    np.putmask(flat, outside, b**d)
+    return flat
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,9 @@ class HistogramDensity:
     The value on an occupied cell is count / (total * cell_volume); cells
     below the floor, and any query outside the box, report ``floor_eps``.
     ``total`` counts all points offered to the fit, including those that fell
-    outside the box. The grid's ``bin_widths`` (read-only), ``cell_volume``
-    and ``floor_eps`` are computed once, at construction.
+    outside the box. The grid's ``bin_widths``, ``cell_volume``, ``floor_eps``
+    and the cell values are computed once, at construction; ``values`` and
+    ``cell_values()`` are read-only.
     """
 
     box: Box
@@ -80,6 +89,8 @@ class HistogramDensity:
     cell_volume: float = field(init=False, repr=False)
     # Contributes at most 1e-10 mass per bin while keeping logs finite.
     floor_eps: float = field(init=False, repr=False)
+    # ``values`` with ``floor_eps`` appended; ``values`` is a view of it.
+    _cell_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64).ravel()
@@ -94,11 +105,18 @@ class HistogramDensity:
         bin_widths = self.box.widths / self.bins_per_dim
         bin_widths.setflags(write=False)
         cell_volume = float(np.prod(bin_widths))
+        floor_eps = 1e-10 / cell_volume
         object.__setattr__(self, "bin_widths", bin_widths)
         object.__setattr__(self, "cell_volume", cell_volume)
-        object.__setattr__(self, "floor_eps", 1e-10 / cell_volume)
-        values = counts / (self.total * self.cell_volume)
-        np.maximum(values, self.floor_eps, out=values)
+        object.__setattr__(self, "floor_eps", floor_eps)
+        cell_values = np.empty(expected + 1)
+        values = cell_values[:-1]
+        np.divide(counts, self.total * cell_volume, out=values)
+        np.maximum(values, floor_eps, out=values)
+        cell_values[-1] = floor_eps
+        for arr in (cell_values, values):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_cell_values", cell_values)
         object.__setattr__(self, "values", values)
 
     @property
@@ -115,13 +133,13 @@ class HistogramDensity:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        out = self.cell_values()[bin_points(self.box, self.bins_per_dim, pts)]
+        out = self._cell_values[bin_points(self.box, self.bins_per_dim, pts)]
         return float(out[0]) if single else out
 
     def cell_values(self) -> np.ndarray:
         """Per-cell values with ``floor_eps`` appended as the outside slot, so
-        a ``bin_points`` slot indexes it directly."""
-        return np.append(self.values, self.floor_eps)
+        a ``bin_points`` slot indexes it directly (read-only)."""
+        return self._cell_values
 
 
 def grid_centers(box: Box, bins_per_dim: int) -> np.ndarray:
@@ -154,27 +172,68 @@ def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
     return histogram_from_cells(box, bins_per_dim, bin_points(box, bins_per_dim, pts))
 
 
-def histogram_from_cells(box: Box, bins_per_dim: int, *slots: np.ndarray) -> HistogramDensity:
+def count_slots(box: Box, bins_per_dim: int, slots: np.ndarray) -> np.ndarray:
+    """Points per slot of a ``bin_points`` result on this grid: one count per
+    cell, then the outside slot's."""
+    return np.bincount(slots, minlength=bins_per_dim**box.dim + 1)
+
+
+def histogram_from_cells(
+    box: Box, bins_per_dim: int, *slots: np.ndarray, counted: np.ndarray | None = None
+) -> HistogramDensity:
     """Histogram over ``box`` of the points binned in ``slots`` (one or more
-    ``bin_points`` results on this grid, counted together).
+    ``bin_points`` results on this grid) and of those already ``counted``
+    (a ``count_slots`` result on this grid), all counted together.
 
     Fitting the pooled points and summing the counts of their parts give the
-    same histogram, so parts that never move can be binned once and reused.
+    same histogram, so parts that never move can be counted once and reused.
     """
     n_bins = bins_per_dim**box.dim
-    counts = sum(np.bincount(s, minlength=n_bins + 1)[:n_bins] for s in slots)
-    total = sum(len(s) for s in slots)
-    return HistogramDensity(box=box, bins_per_dim=bins_per_dim, counts=counts, total=total)
+    counts = sum(
+        (count_slots(box, bins_per_dim, s) for s in slots), 0 if counted is None else counted
+    )
+    return HistogramDensity(
+        box=box, bins_per_dim=bins_per_dim, counts=counts[:n_bins], total=int(counts.sum())
+    )
 
 
 def _check_same_grid(h: HistogramDensity, ref) -> None:
     if not (
         isinstance(ref, HistogramDensity)
         and ref.bins_per_dim == h.bins_per_dim
-        and np.array_equal(ref.box.low, h.box.low)
-        and np.array_equal(ref.box.high, h.box.high)
+        and (
+            ref.box is h.box
+            or (
+                np.array_equal(ref.box.low, h.box.low)
+                and np.array_equal(ref.box.high, h.box.high)
+            )
+        )
     ):
         raise ValueError("the drift's reference must be a histogram on h's grid")
+
+
+# A run's two grids share one shape; the bound keeps the arrays of large
+# grids from piling up across shapes.
+@functools.lru_cache(maxsize=2)
+def _neighbour_slots(bins_per_dim: int, dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per axis, the slot of each slot's neighbour below and above along it,
+    as two read-only arrays over the ``bins_per_dim ** dim`` cells and the
+    outside slot: the next cell on that side, or the outside slot beyond the
+    grid. The outside slot is its own neighbour on both sides."""
+    b = bins_per_dim
+    n_cells = b**dim
+    cells = np.arange(n_cells).reshape((b,) * dim)
+    pairs = []
+    for a in range(dim):
+        lower = (slice(None),) * a + (slice(None, -1),)
+        upper = (slice(None),) * a + (slice(1, None),)
+        below, above = np.full(n_cells + 1, n_cells), np.full(n_cells + 1, n_cells)
+        below[:-1].reshape(cells.shape)[upper] = cells[lower]
+        above[:-1].reshape(cells.shape)[lower] = cells[upper]
+        below.setflags(write=False)
+        above.setflags(write=False)
+        pairs.append((below, above))
+    return tuple(pairs)
 
 
 def _one_sided_grad(
@@ -187,16 +246,17 @@ def _one_sided_grad(
     / w_a, with w_a the bin width: the cell of the point and its neighbour on
     the drawn side. The histograms are constant inside a cell, so sub-bin
     steps would see no variation at all, and the difference depends only on
-    the cell, the axis and the side. So f is one table over the cells, and
+    the cell, the axis and the side. So f is one table over the slots, and
     each axis gets a table of the minus- and plus-side differences of every
-    cell, read at the points' ``bin_points`` slots. A neighbour beyond the
+    slot, read at the points' ``bin_points`` slots. The neighbours come from
+    ``_neighbour_slots``, built once per grid shape. A neighbour beyond the
     grid reads f's outside (floor) value.
 
     Two cases follow from reading neighbour cells rather than the cells of
     moved points. A point on a box's upper face lies in the last cell, so its
     inward difference is to the cell below it, not 0. A point outside the
-    box reads 0 on every axis; the flow clamps its particles into the box
-    and never asks for one.
+    box differences the outside slot with itself and reads 0 on every axis;
+    the flow clamps its particles into the box and never asks for one.
     """
     _check_same_grid(h, ref)
     n, d = np.shape(x)
@@ -206,18 +266,16 @@ def _one_sided_grad(
         )
     if np.shape(up) != (n, d):
         raise ValueError(f"side bits have shape {np.shape(up)}, expected ({n}, {d})")
-    b = h.bins_per_dim
-    table = field(h.cell_values(), ref.cell_values())
-    cells, outside = table[:-1].reshape((b,) * d), table[-1]
+    f = field(h.cell_values(), ref.cell_values())
     at = 2 * slots
     grad = np.empty((n, d))
-    for a, width in enumerate(h.bin_widths):
-        # Along axis a, diffs[k] = (f(cell k) - f(cell k - 1)) / w for k = 0..b:
-        # cell k's minus-side difference, and cell k - 1's plus-side one.
-        diffs = np.diff(cells, axis=a, prepend=outside, append=outside) / width
-        tab = np.zeros((b**d + 1, 2))  # the outside slot reads 0 on both sides
-        tab[:-1, 0] = diffs.take(range(b), axis=a).ravel()
-        tab[:-1, 1] = diffs.take(range(1, b + 1), axis=a).ravel()
+    tab = np.empty((f.size, 2))  # per slot: its minus- and plus-side difference
+    for a, (width, (below, above)) in enumerate(
+        zip(h.bin_widths, _neighbour_slots(h.bins_per_dim, d))
+    ):
+        np.subtract(f, f[below], out=tab[:, 0])
+        np.subtract(f[above], f, out=tab[:, 1])
+        tab /= width
         grad[:, a] = tab.ravel()[at + up[:, a]]
     return grad
 

@@ -16,6 +16,7 @@ bin width per axis and particles are clamped to the (fixed) estimation box.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy.random  # numpy 2 loads it on first use; load it with the package, 
 from .density import (
     HistogramDensity,
     bin_points,
+    count_slots,
     fit_histogram,
     grad_log_ratio_forward,
     grad_log_ratio_reverse,
@@ -338,17 +340,18 @@ def run(
     q_mu = reference_at_centers(mu_ref, mu if mu.kind == "analytic" else mu_ref)
     q_nu = reference_at_centers(nu_ref, nu if nu.kind == "analytic" else nu_ref)
 
-    # The frozen families never move: bin them once. The mobile ones are
-    # binned once per step, and their slots serve both the fit and the drift.
-    x1_slots = bin_points(box_x, b, ps.x1)
-    y2_slots = bin_points(box_y, b, ps.y2)
+    # The frozen families never move: bin and count them once. The mobile
+    # ones are binned once per step, and their slots serve both the fit and
+    # the drift.
+    x1_counts = count_slots(box_x, b, bin_points(box_x, b, ps.x1))
+    y2_counts = count_slots(box_y, b, bin_points(box_y, b, ps.y2))
 
     try:
         for k in range(cfg.steps + 1):
             x2_slots = bin_points(box_x, b, ps.x2)
             y1_slots = bin_points(box_y, b, ps.y1)
-            rho1 = histogram_from_cells(box_x, b, x1_slots, x2_slots)
-            rho2 = histogram_from_cells(box_y, b, y1_slots, y2_slots)
+            rho1 = histogram_from_cells(box_x, b, x2_slots, counted=x1_counts)
+            rho2 = histogram_from_cells(box_y, b, y1_slots, counted=y2_counts)
             kl1, kl2 = kl_estimate(rho1, q_mu), kl_estimate(rho2, q_nu)
             l2_1, l2_2 = l2_error(rho1, q_mu), l2_error(rho2, q_nu)
             pair_cost = empirical_coupling_cost(ps, cost)
@@ -371,19 +374,51 @@ def run(
 CSV_BLOCK_ROWS = 4096
 
 
-def write_csv_rows(fh, rows, suffix: str = "") -> None:
+def write_csv_rows(fh, rows, suffix="", prefix="") -> None:
     """Write the rows of a 2-D float array as CSV lines with round-trip float
-    formatting (``repr``), each line ending in ``suffix``.
+    formatting (``repr``), each line starting with ``prefix`` and ending in
+    ``suffix``.
+
+    ``prefix`` and ``suffix`` are each one string for every line, or a list
+    of one string per row (such as columns formatted earlier by
+    ``csv_row_strings``), joined to the row's floats by a comma.
 
     Each block of rows is one ``%`` format of a repeated line template over
-    the block's floats and one write: the floats' ``repr`` is then the only
+    the block's cells and one write: the floats' ``repr`` is then the only
     per-value cost.
     """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%r"] * rows.shape[1]) + suffix.replace("%", "%%") + "\n"
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start : start + CSV_BLOCK_ROWS]
-        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    n, k = rows.shape
+    lead, trail = not isinstance(prefix, str), not isinstance(suffix, str)
+    line = (
+        ("%s," if lead else prefix.replace("%", "%%"))
+        + ",".join(["%r"] * k)
+        + (",%s" if trail else suffix.replace("%", "%%"))
+        + "\n"
+    )
+    width = lead + k + trail
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        block = rows[start:stop]
+        if width == k:
+            cells = block.ravel().tolist()
+        else:
+            cells = [None] * (len(block) * width)
+            for a in range(k):
+                cells[lead + a :: width] = block[:, a].tolist()
+            if lead:
+                cells[::width] = prefix[start:stop]
+            if trail:
+                cells[width - 1 :: width] = suffix[start:stop]
+        fh.write(line * len(block) % tuple(cells))
+
+
+def csv_row_strings(rows, suffix: str = "") -> list[str]:
+    """The lines ``write_csv_rows`` writes for ``rows``, one string per row,
+    without the line end."""
+    fh = io.StringIO()
+    write_csv_rows(fh, rows, suffix)
+    return fh.getvalue().split("\n")[:-1]
 
 
 def save_trajectory_csv(path, traj: Trajectory) -> None:
@@ -398,13 +433,26 @@ def save_trajectory_csv(path, traj: Trajectory) -> None:
         )
 
 
-def save_particles_csv(path, ps: ParticleSystem) -> None:
-    """Write particle pairs: columns x_1..x_d, y_1..y_d, family in {1, 2}."""
+def frozen_rows(ps: ParticleSystem) -> tuple[list[str], list[str]]:
+    """The formatted rows of the frozen families for ``save_particles_csv``:
+    x1's, and y2's with their family column. They are the same in every
+    snapshot of a run."""
+    return csv_row_strings(ps.x1), csv_row_strings(ps.y2, suffix=",2")
+
+
+def save_particles_csv(path, ps: ParticleSystem, frozen=None) -> None:
+    """Write particle pairs: columns x_1..x_d, y_1..y_d, family in {1, 2}.
+
+    ``frozen`` is ``frozen_rows`` of any snapshot of the same run, so that a
+    run with several snapshots formats the frozen families once; by default
+    they are formatted here.
+    """
+    x1_rows, y2_rows = frozen_rows(ps) if frozen is None else frozen
     d = ps.x1.shape[1]
     header = ",".join(
         [f"x_{a + 1}" for a in range(d)] + [f"y_{a + 1}" for a in range(d)] + ["family"]
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for fam, xs, ys in ((1, ps.x1, ps.y1), (2, ps.x2, ps.y2)):
-            write_csv_rows(fh, np.hstack([xs, ys]), suffix=f",{fam}")
+        write_csv_rows(fh, ps.y1, prefix=x1_rows, suffix=",1")
+        write_csv_rows(fh, ps.x2, suffix=y2_rows)

@@ -9,6 +9,7 @@ threads; samplers take an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,30 +18,31 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box [low_i, high_i] in R^d."""
+    """Axis-aligned box [low_i, high_i] in R^d. ``widths`` (high - low,
+    read-only) is computed once, at construction."""
 
     low: np.ndarray
     high: np.ndarray
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         low = np.atleast_1d(np.asarray(self.low, dtype=float))
         high = np.atleast_1d(np.asarray(self.high, dtype=float))
-        if low.shape != high.shape or low.ndim != 1:
-            raise ValueError("box bounds must be 1-D arrays of equal length")
+        if low.shape != high.shape or low.ndim != 1 or low.size == 0:
+            raise ValueError("box bounds must be non-empty 1-D arrays of equal length")
         if not np.all(np.isfinite(low)) or not np.all(np.isfinite(high)):
             raise ValueError("box bounds must be finite")
         if np.any(high <= low):
             raise ValueError("box must have positive extent along every axis")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
+        widths = high - low
+        widths.setflags(write=False)
+        object.__setattr__(self, "widths", widths)
 
     @property
     def dim(self) -> int:
         return self.low.size
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.high - self.low
 
     def union(self, other: "Box") -> "Box":
         return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
@@ -332,9 +334,21 @@ def make_empirical(samples) -> Marginal:
 
 
 def load_empirical_csv(path) -> Marginal:
-    """Load an empirical marginal from CSV: one point per row, no header."""
-    samples = np.loadtxt(path, delimiter=",", ndmin=2)
-    return make_empirical(samples)
+    """Load an empirical marginal from CSV: one point per row, no header.
+
+    A file that does not hold such rows, or holds fewer than 2 finite points,
+    raises ``ValueError`` naming the file and the cause.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported as too few samples, not as a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            samples = np.loadtxt(path, delimiter=",", ndmin=2)
+        return make_empirical(samples)
+    except ValueError as err:
+        # numpy ends a ragged-row message with advice on its own arguments
+        cause = str(err).split("; use `usecols`")[0].rstrip(".")
+        raise ValueError(f"cannot read samples from {path}: {cause}") from err
 
 
 _VARIANTS = ("forward", "reverse")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import minmaxot as m
 from minmaxot.cli import ExperimentSpec, resolve_flow_config, scenario_marginals
-from minmaxot.density import bin_points, histogram_from_cells
+from minmaxot.density import _neighbour_slots, bin_points, count_slots, histogram_from_cells
 
 from oracles import (
     reference_counts,
@@ -35,7 +35,7 @@ def grids(draw):
 def probe_points(box, b, rng, n):
     """Points whose coordinates are, at random per axis: inside the box,
     outside it (up to one box width), exactly on the low or the high face,
-    or on an interior grid line."""
+    on an interior grid line, NaN, +inf or -inf."""
     d = box.dim
     u = rng.random((n, d))
     w = box.widths
@@ -44,8 +44,8 @@ def probe_points(box, b, rng, n):
     low = np.broadcast_to(box.low, (n, d))
     high = np.broadcast_to(box.high, (n, d))
     line = box.low + rng.integers(1, b, size=(n, d)) * (w / b)
-    kind = rng.integers(0, 5, size=(n, d))
-    return np.choose(kind, [inside, outside, low, high, line])
+    kind = rng.integers(0, 8, size=(n, d))
+    return np.choose(kind, [inside, outside, low, high, line, np.nan, np.inf, -np.inf])
 
 
 def clustered_fit(box, b, rng, n=300):
@@ -129,6 +129,38 @@ def test_fit_from_cells_matches_pooled_fit(grid, seed):
     assert np.array_equal(from_slots.counts, reference_counts(pooled, box, b))
     assert from_slots.total == fitted.total == len(pooled)
     assert from_slots.values.tobytes() == fitted.values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_counted_part_matches_pooled_fit(grid, seed):
+    """A part counted once (``count_slots``) and passed as ``counted`` gives
+    the histogram of the pooled points, as the run loop uses it."""
+    box, b = grid
+    rng = np.random.default_rng(seed)
+    frozen = probe_points(box, b, rng, 40)
+    mobile = probe_points(box, b, rng, 40)
+    fitted = m.fit_histogram(np.vstack([frozen, mobile]), box, b)
+    counted = count_slots(box, b, bin_points(box, b, frozen))
+    from_counts = histogram_from_cells(box, b, bin_points(box, b, mobile), counted=counted)
+    assert np.array_equal(from_counts.counts, fitted.counts)
+    assert from_counts.total == fitted.total == 80
+    assert from_counts.values.tobytes() == fitted.values.tobytes()
+
+
+def test_grid_tables_are_read_only():
+    """The arrays computed once per box, histogram or grid shape are shared
+    by every later call, so none of them can be written."""
+    box = m.Box(np.zeros(2), np.array([1.0, 2.0]))
+    h = m.fit_histogram(np.random.default_rng(0).random((50, 2)), box, 4)
+    slot_arrays = [arr for pair in _neighbour_slots(4, 2) for arr in pair]
+    assert _neighbour_slots(4, 2) is _neighbour_slots(4, 2)
+    assert h.cell_values() is h.cell_values()
+    assert np.shares_memory(h.values, h.cell_values())
+    assert h.cell_values()[-1] == h.floor_eps
+    for arr in [h.values, h.cell_values(), h.bin_widths, box.widths, *slot_arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 @pytest.mark.parametrize(

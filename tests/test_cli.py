@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,36 @@ def test_custom_csv_scenario(tmp_path):
     )
     assert status == 0
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text,cause",
+    [
+        ("x,y\n0.1,0.2\n0.3,0.4\n", "could not convert string 'x' to float64"),
+        ("0.1,0.2\n0.3,0.4\n0.5,0.6,0.7\n", "the number of columns changed from 2 to 3"),
+        ("", "needs at least 2 samples"),
+    ],
+    ids=["header", "ragged", "empty"],
+)
+def test_bad_sample_file_names_file_and_cause(tmp_path, capsys, text, cause):
+    rng = np.random.default_rng(0)
+    mu_csv = tmp_path / "mu.csv"
+    nu_csv = tmp_path / "nu.csv"
+    mu_csv.write_text(text)
+    np.savetxt(nu_csv, rng.normal(0.5, 0.2, (200, 2)), delimiter=",")
+    out = tmp_path / "bad_csv_out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run_cli(
+            "run", "--scenario", "custom_csv", "--mu-csv", str(mu_csv),
+            "--nu-csv", str(nu_csv), "--out", str(out), "--particles", "400", "--steps", "1",
+        )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read samples from {mu_csv}: ")
+    assert cause in err
+    assert "usecols" not in err
+    assert not out.exists()
 
 
 def test_compare_methods_table(tmp_path):

@@ -5,7 +5,14 @@ import pytest
 
 import minmaxot as m
 from minmaxot.density import bin_points
-from minmaxot.flow import CSV_BLOCK_ROWS, save_particles_csv, save_trajectory_csv, write_csv_rows
+from minmaxot.flow import (
+    CSV_BLOCK_ROWS,
+    csv_row_strings,
+    frozen_rows,
+    save_particles_csv,
+    save_trajectory_csv,
+    write_csv_rows,
+)
 
 from conftest import gaussian_experiment_config
 
@@ -267,6 +274,55 @@ def test_trajectory_csv_roundtrip(tmp_path, gaussian_pair, cost):
     assert np.array_equal(loaded[:, 0], traj.t)
     assert np.array_equal(loaded[:, 1], traj.lam)
     assert np.array_equal(loaded[:, 4], traj.cost)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 5])
+def test_csv_rows_with_per_row_prefix_and_suffix(n_rows):
+    """Per-row prefix and suffix strings join the row's floats with a comma;
+    a single string is written as it is."""
+    import io
+
+    rng = np.random.default_rng(n_rows)
+    rows = rng.standard_normal((n_rows, 2))
+    before = [f"p{i}" for i in range(n_rows)]
+    after = [f"s{i}%" for i in range(n_rows)]
+    fh = io.StringIO()
+    write_csv_rows(fh, rows, prefix=before, suffix=after)
+    expected = "".join(
+        f"{p}," + ",".join(map(repr, row)) + f",{s}\n"
+        for p, row, s in zip(before, rows.tolist(), after)
+    )
+    assert fh.getvalue() == expected
+    fh = io.StringIO()
+    write_csv_rows(fh, rows, prefix=before, suffix=",%x")
+    assert fh.getvalue() == "".join(
+        f"{p}," + ",".join(map(repr, row)) + ",%x\n" for p, row in zip(before, rows.tolist())
+    )
+    assert csv_row_strings(rows, suffix=",3") == [
+        ",".join(map(repr, row)) + ",3" for row in rows.tolist()
+    ]
+
+
+def test_particles_csv_with_frozen_rows_is_the_same(tmp_path, gaussian_pair, cost):
+    """Snapshots written with the frozen rows of another snapshot of the same
+    run match those that format their own."""
+    mu, nu = gaussian_pair
+    recorder = m.TrajectoryRecorder(snapshot_steps=(0, 4))
+    traj = m.run(mu, nu, cost, small_config(n_pairs=50, steps=4), recorder=recorder)
+    frozen = frozen_rows(traj.snapshots[0])
+    for k in (0, 4):
+        own, shared = tmp_path / f"own{k}.csv", tmp_path / f"shared{k}.csv"
+        save_particles_csv(own, traj.snapshots[k])
+        save_particles_csv(shared, traj.snapshots[k], frozen)
+        assert own.read_bytes() == shared.read_bytes()
+    lines = own.read_text().splitlines()[1:]
+    expected = [
+        ",".join(map(repr, row)) + f",{fam}"
+        for fam, xs, ys in ((1, traj.snapshots[4].x1, traj.snapshots[4].y1),
+                            (2, traj.snapshots[4].x2, traj.snapshots[4].y2))
+        for row in np.hstack([xs, ys]).tolist()
+    ]
+    assert lines == expected
 
 
 def test_particles_csv_schema(tmp_path, gaussian_pair):

@@ -259,6 +259,8 @@ def test_flow_config_rejects_non_finite(name, value):
 def test_box_validation():
     with pytest.raises(ValueError):
         m.Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="non-empty"):
+        m.Box(np.array([]), np.array([]))
 
 
 def test_box_hull_pads_the_stacked_span():
