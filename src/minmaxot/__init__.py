@@ -18,12 +18,12 @@ from .flow import (
     TrajectoryRecorder,
     init_particles,
     interpolant,
-    method_preset,
     run,
     step_lambda,
     step_particles,
 )
 from .model import (
+    METHOD_VARIANTS,
     Box,
     CostFunction,
     FlowConfig,
@@ -47,6 +47,7 @@ from .response import ResponseEvaluator
 __version__ = "0.1.0"
 
 __all__ = [
+    "METHOD_VARIANTS",
     "Box",
     "CostFunction",
     "DiscretePlan",
@@ -75,7 +76,6 @@ __all__ = [
     "make_gaussian",
     "make_mixture",
     "make_ring_peak",
-    "method_preset",
     "quadratic_cost",
     "run",
     "step_lambda",

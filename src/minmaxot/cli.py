@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,17 +28,16 @@ from .density import (
 from .flow import (
     BOX_PAD_FRACTION,
     FlowDivergedError,
-    Trajectory,
     TrajectoryRecorder,
     frozen_rows,
     interpolant,
-    method_preset,
     run,
     save_particles_csv,
     save_trajectory_csv,
     write_csv_rows,
 )
 from .model import (
+    METHOD_VARIANTS,
     Box,
     FlowConfig,
     Marginal,
@@ -60,9 +60,12 @@ GAUSS_COV.setflags(write=False)
 
 @dataclass
 class ExperimentSpec:
-    """A fully resolved experiment: scenario, method, flow config, outputs.
+    """A fully resolved experiment: scenario, method, flow config, outputs,
+    and the penalty weights, ODE horizon and step, and quadrature nodes of
+    ``validate-response``.
 
-    The method sets the flow's divergence variants (``method_preset``).
+    The method is copied into ``flow``. Bad settings raise ``ValueError``
+    here, before any command writes a file.
     """
 
     scenario: str
@@ -71,20 +74,28 @@ class ExperimentSpec:
     outputs: Path
     snapshot_steps: tuple[int, ...] = ()
     interpolant_s_values: tuple[float, ...] = (0.25, 0.5, 0.75)
+    lambda_grid: tuple[float, ...] = (0.05, 0.1, 0.5, 1.0, 5.0)
+    ode_horizon: float = 100.0
+    ode_dt: float = 0.25
+    quad_nodes: int = 56
     mu_csv: str | None = None
     nu_csv: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        variant_x, variant_y = method_preset(self.method)
-        self.flow = dataclasses.replace(
-            self.flow, kl_variant_x=variant_x, kl_variant_y=variant_y
-        )
+        self.flow = dataclasses.replace(self.flow, method=self.method)
         if any(not 0.0 <= s <= 1.0 for s in self.interpolant_s_values):
             raise ValueError("interpolant s values must lie in [0, 1]")
         if any(not 0 <= k <= self.flow.steps for k in self.snapshot_steps):
             raise ValueError("snapshot steps must lie within [0, steps]")
+        if not self.lambda_grid or not all(
+            lam > 0 and math.isfinite(lam) for lam in self.lambda_grid
+        ):
+            raise ValueError(
+                f"lambda_grid must list finite positive weights, got {_fmt(self.lambda_grid)!r}"
+            )
+        penalty_ode_steps(self.ode_horizon, self.ode_dt)
         self.outputs = Path(self.outputs)
 
 
@@ -161,13 +172,16 @@ def _floats(text: str) -> tuple[float, ...]:
 # share the name, so a resolved config can be fed back.
 _SETTINGS = {f.name: type(f.default) for f in dataclasses.fields(FlowConfig)} | {
     "scenario": str,
-    "method": str,
     "out": str,
     "mu_csv": str,
     "nu_csv": str,
     "particles": int,
     "snapshot_steps": _ints,
     "interpolant_s_values": _floats,
+    "lambda_grid": _floats,
+    "ode_horizon": float,
+    "ode_dt": float,
+    "quad_nodes": int,
 }
 
 
@@ -180,35 +194,24 @@ def _fmt(value) -> str:
 
 
 def write_resolved_config(path: Path, spec: ExperimentSpec) -> None:
-    lines = [
-        f"scenario = {spec.scenario}",
-        f"method = {spec.method}",
-    ]
-    for f in dataclasses.fields(FlowConfig):
-        lines.append(f"{f.name} = {_fmt(getattr(spec.flow, f.name))}")
-    lines.append(f"snapshot_steps = {_fmt(spec.snapshot_steps)}")
-    lines.append(f"interpolant_s_values = {_fmt(spec.interpolant_s_values)}")
-    if spec.mu_csv:
-        lines.append(f"mu_csv = {spec.mu_csv}")
-    if spec.nu_csv:
-        lines.append(f"nu_csv = {spec.nu_csv}")
+    """One ``name = value`` line per setting, the scenario and method first;
+    unset sample files are left out."""
+    settings = {"scenario": spec.scenario, "method": spec.method}
+    settings |= {f.name: getattr(spec.flow, f.name) for f in dataclasses.fields(FlowConfig)}
+    settings |= {
+        f.name: getattr(spec, f.name)
+        for f in dataclasses.fields(ExperimentSpec)
+        if f.name not in ("flow", "outputs")
+    }
+    lines = [f"{name} = {_fmt(v)}" for name, v in settings.items() if v is not None]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_summary(path: Path, traj: Trajectory, seed: int, wall_seconds: float) -> None:
-    final = traj.final_row()
-    header = ["cost", "lambda", "kl1", "kl2", "l2_mu", "l2_nu", "wall_clock_seconds", "seed"]
-    row = [
-        repr(final["cost"]),
-        repr(final["lambda"]),
-        repr(final["kl1"]),
-        repr(final["kl2"]),
-        repr(final["l2_mu"]),
-        repr(final["l2_nu"]),
-        repr(float(wall_seconds)),
-        str(seed),
-    ]
-    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+def _save_csv(path: Path, header: str, rows, **affixes) -> None:
+    """A header line, then ``write_csv_rows(rows, **affixes)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        write_csv_rows(fh, rows, **affixes)
 
 
 def cmd_run(spec: ExperimentSpec) -> int:
@@ -242,10 +245,15 @@ def cmd_run(spec: ExperimentSpec) -> int:
     last = traj.snapshots[cfg.steps]
     for s in spec.interpolant_s_values:
         pts = interpolant(last, s)
-        with open(out / f"interpolant_s{_fmt(float(s))}.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"x_{a + 1}" for a in range(pts.shape[1])) + "\n")
-            write_csv_rows(fh, pts)
-    _write_summary(out / "summary.csv", traj, cfg.seed, wall)
+        header = ",".join(f"x_{a + 1}" for a in range(pts.shape[1]))
+        _save_csv(out / f"interpolant_s{_fmt(float(s))}.csv", header, pts)
+    final = traj.final_row()
+    _save_csv(
+        out / "summary.csv",
+        "cost,lambda,kl1,kl2,l2_mu,l2_nu,wall_clock_seconds,seed",
+        [[final[k] for k in ("cost", "lambda", "kl1", "kl2", "l2_mu", "l2_nu")] + [wall]],
+        suffix=f",{cfg.seed}",
+    )
     return 0
 
 
@@ -261,8 +269,8 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
     write_resolved_config(out / "resolved_config.txt", spec)
 
     rows = []
-    for method in ("I", "II", "III"):
-        cfg = dataclasses.replace(spec, method=method).flow
+    for method in METHOD_VARIANTS:
+        cfg = dataclasses.replace(spec.flow, method=method)
         recorder = TrajectoryRecorder(snapshot_steps=(cfg.steps,))
         try:
             traj = run(mu, nu, cost, cfg, recorder=recorder)
@@ -270,13 +278,11 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
             print(f"error: method {method}: {err}", file=sys.stderr)
             return 1
         last = traj.snapshots[cfg.steps]
-        metrics = marginal_error_table(last, mu, nu, cfg.bins_per_dim)
-        rows.append((method, *metrics))
-
-    with open(out / "methods.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,l2_error,kl,reverse_kl,total_kl\n")
-        for method, l2, kl, rkl, tot in rows:
-            fh.write(f"{method},{repr(l2)},{repr(kl)},{repr(rkl)},{repr(tot)}\n")
+        rows.append(marginal_error_table(last, mu, nu, cfg.bins_per_dim))
+    _save_csv(
+        out / "methods.csv", "method,l2_error,kl,reverse_kl,total_kl", rows,
+        prefix=list(METHOD_VARIANTS),
+    )
     return 0
 
 
@@ -292,64 +298,54 @@ def marginal_error_table(ps, mu: Marginal, nu: Marginal, bins_per_dim: int):
     return l2, kl, rkl, kl + rkl
 
 
-def cmd_validate_response(
-    spec: ExperimentSpec,
-    lambda_grid: tuple[float, ...],
-    ode_horizon: float,
-    ode_dt: float = 0.25,
-    quad_nodes: int = 56,
-) -> int:
+def cmd_validate_response(spec: ExperimentSpec) -> int:
     """Sweep the semi-analytic layer and integrate the penalty ODE.
 
     Writes response_report.csv with, per penalty weight: the partition
     function, the marginal-KL sum V, its derivative by formula and by finite
     difference, the value -lam log Z, the residual |d(-lam log Z)/dlam - V|,
-    and the exp(-c*/lam) <= Z lower-bound indicator. The ODE trace goes to
-    ode_trace.csv with its sqrt-growth bound margin. A bad ODE horizon or
-    step raises ``ValueError`` before any file is written.
+    and the exp(-c*/lam) <= Z lower-bound indicator, for each weight of
+    ``spec.lambda_grid``. The ODE trace from ``lambda0`` goes to
+    ode_trace.csv with its sqrt-growth bound margin.
     """
-    penalty_ode_steps(ode_horizon, ode_dt)
     mu, nu = scenario_marginals(spec)
     if mu.kind != "analytic" or nu.kind != "analytic":
         print("error: validate-response needs an analytic scenario", file=sys.stderr)
         return 1
     cost = quadratic_cost()
-    ev = ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=quad_nodes)
+    ev = ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=spec.quad_nodes)
     c_star = _scenario_optimal_cost(spec, mu, nu, cost)
 
     out = spec.outputs
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out / "resolved_config.txt", spec)
 
-    with open(out / "response_report.csv", "w", encoding="utf-8") as fh:
-        fh.write(
-            "lambda,Z,V,dV_dlambda,dV_dlambda_fd,E_d,danskin_residual,z_lower_bound_ok\n"
-        )
-        for lam in lambda_grid:
-            z = ev.partition_function(lam)
-            v = ev.marginal_kl_sum(lam)
-            dv = ev.marginal_kl_sum_derivative(lam)
-            h = 1e-4 * lam
-            dv_fd = (ev.marginal_kl_sum(lam + h) - ev.marginal_kl_sum(lam - h)) / (2 * h)
-            e_d = ev.best_response_energy(lam)
-            ed_fd = (ev.best_response_energy(lam + h) - ev.best_response_energy(lam - h)) / (
-                2 * h
-            )
-            residual = abs(ed_fd - v)
-            ok = bool(np.exp(-c_star / lam) <= z)
-            cells = [lam, z, v, dv, dv_fd, e_d, residual]
-            fh.write(",".join(repr(float(c)) for c in cells) + f",{ok}\n")
+    rows, bound_ok = [], []
+    for lam in spec.lambda_grid:
+        z = ev.partition_function(lam)
+        v = ev.marginal_kl_sum(lam)
+        dv = ev.marginal_kl_sum_derivative(lam)
+        h = 1e-4 * lam
+        dv_fd = (ev.marginal_kl_sum(lam + h) - ev.marginal_kl_sum(lam - h)) / (2 * h)
+        e_d = ev.best_response_energy(lam)
+        ed_fd = (ev.best_response_energy(lam + h) - ev.best_response_energy(lam - h)) / (2 * h)
+        rows.append((lam, z, v, dv, dv_fd, e_d, abs(ed_fd - v)))
+        bound_ok.append(str(bool(np.exp(-c_star / lam) <= z)))
+    _save_csv(
+        out / "response_report.csv",
+        "lambda,Z,V,dV_dlambda,dV_dlambda_fd,E_d,danskin_residual,z_lower_bound_ok",
+        rows,
+        suffix=bound_ok,
+    )
 
-    trace = ev.solve_penalty_ode(spec.flow.lambda0, ode_horizon, ode_dt)
-    c0 = spec.flow.lambda0**2 / 2.0
-    with open(out / "ode_trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,lambda,V,growth_bound,bound_margin\n")
-        for t, lam, v in trace:
-            bound = float(np.sqrt(2.0 * (c_star * t + c0)))
-            fh.write(
-                f"{repr(float(t))},{repr(float(lam))},{repr(float(v))},"
-                f"{repr(bound)},{repr(bound - float(lam))}\n"
-            )
+    lambda0 = spec.flow.lambda0
+    trace = ev.solve_penalty_ode(lambda0, spec.ode_horizon, spec.ode_dt)
+    bound = np.sqrt(2.0 * (c_star * trace[:, 0] + lambda0**2 / 2.0))
+    _save_csv(
+        out / "ode_trace.csv",
+        "t,lambda,V,growth_bound,bound_margin",
+        np.column_stack([trace, bound, bound - trace[:, 1]]),
+    )
     return 0
 
 
@@ -380,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key = value config file")
         setting(p, "--scenario", choices=SCENARIOS)
-        setting(p, "--method", choices=("I", "II", "III"))
+        setting(p, "--method", choices=tuple(METHOD_VARIANTS))
         setting(p, "--out", help="output directory")
         for flag in ("--seed", "--steps", "--dt", "--beta", "--lambda0"):
             setting(p, flag)
@@ -402,12 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-response", help="sweep the semi-analytic layer")
     add_common(p_val)
-    p_val.add_argument(
-        "--lambda-grid", type=str, default="0.05,0.1,0.5,1,5", help="comma-separated weights"
-    )
-    p_val.add_argument("--ode-horizon", type=float, default=100.0)
-    p_val.add_argument("--ode-dt", type=float, default=0.25)
-    p_val.add_argument("--quad-nodes", type=int, default=56)
+    setting(p_val, "--lambda-grid", help="comma-separated penalty weights")
+    setting(p_val, "--ode-horizon", help="end time of the penalty ODE")
+    setting(p_val, "--ode-dt", help="RK4 step of the penalty ODE")
+    setting(p_val, "--quad-nodes", help="Gauss-Legendre nodes per axis")
     return parser
 
 
@@ -429,21 +423,15 @@ def _spec_from_args(args) -> ExperimentSpec:
         if total % 2 != 0:
             raise ValueError("particles counts both families and must be even")
         values["n_pairs"] = total // 2
-
-    method = values.pop("method", "I")
-    for key, variant in zip(("kl_variant_x", "kl_variant_y"), method_preset(method)):
-        if values.get(key, variant) != variant:
-            raise ValueError(
-                f"{key} = {values[key]} contradicts method {method}, which sets {variant}"
-            )
     scenario = values.pop("scenario", "gaussian_pair")
     flow_values = {
         f.name: values.pop(f.name) for f in dataclasses.fields(FlowConfig) if f.name in values
     }
+    flow = resolve_flow_config(scenario, flow_values, {})
     return ExperimentSpec(
         scenario=scenario,
-        method=method,
-        flow=resolve_flow_config(scenario, flow_values, {}),
+        method=flow.method,
+        flow=flow,
         outputs=Path(values.pop("out", "minmaxot_out")),
         **values,
     )
@@ -457,14 +445,7 @@ def main(argv=None) -> int:
             return cmd_run(spec)
         if args.command == "compare-methods":
             return cmd_compare_methods(spec)
-        grid = tuple(float(v) for v in args.lambda_grid.split(",") if v)
-        return cmd_validate_response(
-            spec,
-            lambda_grid=grid,
-            ode_horizon=args.ode_horizon,
-            ode_dt=args.ode_dt,
-            quad_nodes=args.quad_nodes,
-        )
+        return cmd_validate_response(spec)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

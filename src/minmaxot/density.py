@@ -50,19 +50,22 @@ def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> np.ndarray:
     if d != box.dim:
         raise ValueError(f"points have dim {d}, box has dim {box.dim}")
     steps = box.widths / b
-    for a in range(d):
-        scaled = pts[:, a] - box.low[a]
-        scaled /= steps[a]
-        inside = scaled >= 0.0
-        inside &= scaled <= b
-        idx = scaled.astype(np.int64)  # floor for in-box points
-        np.minimum(idx, b - 1, out=idx)  # the upper face is in the last cell
-        if a == 0:
-            flat, in_box = idx, inside
-        else:
-            flat *= b
-            flat += idx
-            in_box &= inside
+    # A NaN or infinite coordinate casts to an arbitrary integer (numpy warns
+    # of it); its point is outside, and the outside slot overwrites its cell.
+    with np.errstate(invalid="ignore"):
+        for a in range(d):
+            scaled = pts[:, a] - box.low[a]
+            scaled /= steps[a]
+            inside = scaled >= 0.0
+            inside &= scaled <= b
+            idx = scaled.astype(np.int64)  # floor for in-box points
+            np.minimum(idx, b - 1, out=idx)  # the upper face is in the last cell
+            if a == 0:
+                flat, in_box = idx, inside
+            else:
+                flat *= b
+                flat += idx
+                in_box &= inside
     outside = np.logical_not(in_box, out=in_box)
     np.putmask(flat, outside, b**d)
     return flat

@@ -155,8 +155,8 @@ class ResponseEvaluator:
     @staticmethod
     def _check_lam(lam: float) -> float:
         lam = float(lam)
-        if lam <= 0:
-            raise ValueError("the penalty weight must be positive")
+        if not (lam > 0 and np.isfinite(lam)):
+            raise ValueError(f"the penalty weight must be finite and positive, got {lam}")
         return lam
 
     def partition_function(self, lam: float) -> float:

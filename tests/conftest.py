@@ -50,8 +50,7 @@ def gaussian_experiment_config(seed: int, **overrides) -> m.FlowConfig:
         noise_std_coeff=0.02,
         lambda0=4.0,
         eta_var=1e-4,
-        kl_variant_x="forward",
-        kl_variant_y="forward",
+        method="I",
         bins_per_dim=22,
         seed=seed,
     )

@@ -186,7 +186,8 @@ def reference_flat_index(box, bins_per_dim, pts):
     b = bins_per_dim
     scaled = (pts - box.low) / (box.widths / b)
     inside = np.all((scaled >= 0.0) & (scaled <= b), axis=1)
-    idx = scaled.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # non-finite coordinates are outside
+        idx = scaled.astype(np.int64)
     np.clip(idx, 0, b - 1, out=idx)
     flat = idx[:, 0]
     for a in range(1, box.dim):
@@ -296,8 +297,9 @@ def reference_run(mu, nu, cost, cfg):
         if k == cfg.steps:
             break
         rng = np.random.default_rng(step_ss[k])
-        g_x = reference_drift(rho1, mu_ref, x2, rng, cfg.kl_variant_x)
-        g_y = reference_drift(rho2, nu_ref, y1, rng, cfg.kl_variant_y)
+        variant_x, variant_y = m.METHOD_VARIANTS[cfg.method]
+        g_x = reference_drift(rho1, mu_ref, x2, rng, variant_x)
+        g_y = reference_drift(rho2, nu_ref, y1, rng, variant_y)
         move_x = cfg.dt * (-cost.grad_x(x2, y2) - lam * g_x)
         move_y = cfg.dt * (-cost.grad_y(x1, y1) - lam * g_y)
         np.clip(move_x, -rho1.bin_widths, rho1.bin_widths, out=move_x)

@@ -51,13 +51,11 @@ def ring_method_medians(cost):
     mu, nu = scenario_marginals(spec)
     medians = {}
     for method in ("I", "II", "III"):
-        variant_x, variant_y = m.method_preset(method)
         rows = []
         for seed in PAIR_SEEDS:
             cfg = m.FlowConfig(
                 n_pairs=10_000, dt=5e-4, beta=0.005, steps=1500, lambda0=4.0,
-                bins_per_dim=20, seed=seed,
-                kl_variant_x=variant_x, kl_variant_y=variant_y,
+                bins_per_dim=20, seed=seed, method=method,
             )
             recorder = m.TrajectoryRecorder(snapshot_steps=(cfg.steps,))
             traj = m.run(mu, nu, cost, cfg, recorder=recorder)

@@ -122,7 +122,6 @@ def test_config_file_layering(tmp_path):
     assert "steps = 4" in resolved
     assert "method = II" in resolved
     assert "n_pairs = 300" in resolved
-    assert "kl_variant_x = reverse\nkl_variant_y = reverse\n" in resolved
 
 
 def test_config_interpolant_s_values_layering(tmp_path):
@@ -212,32 +211,19 @@ def test_config_snapshot_steps_layering(tmp_path):
 
 @pytest.mark.parametrize("method", ["I", "II", "III"])
 def test_resolved_config_records_method_variants(tmp_path, monkeypatch, method):
-    variants = {
-        "I": ("forward", "forward"), "II": ("reverse", "reverse"), "III": ("reverse", "forward")
-    }[method]
+    # the flow runs with the requested method, and the config records it once
     ran = []
 
     def recording_run(mu, nu, cost, cfg, **kwargs):
-        ran.append((cfg.kl_variant_x, cfg.kl_variant_y))
+        ran.append(cfg.method)
         return run(mu, nu, cost, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "run", recording_run)
-    out = tmp_path / "variants"
+    out = tmp_path / "method"
     assert run_cli(*small_run_args(out, method=method, extra=("--steps", "1"))) == 0
-    assert ran == [variants]
-    resolved = (out / "resolved_config.txt").read_text()
-    assert f"kl_variant_x = {variants[0]}\nkl_variant_y = {variants[1]}\n" in resolved
-
-
-def test_config_variant_contradicting_method_rejected(tmp_path, capsys):
-    config = tmp_path / "contra.cfg"
-    config.write_text("method = I\nkl_variant_x = reverse\nsteps = 1\nparticles = 400\n")
-    out = tmp_path / "contra_out"
-    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "kl_variant_x" in err and "method I" in err
-    assert not out.exists()
+    assert ran == [method]
+    lines = (out / "resolved_config.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("method")] == [f"method = {method}"]
 
 
 def test_negative_seed_writes_nothing(tmp_path, capsys):
@@ -249,7 +235,7 @@ def test_negative_seed_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare-methods"])
+@pytest.mark.parametrize("command", ["run", "compare-methods", "validate-response"])
 def test_every_flag_names_a_setting(command):
     # a flag's dest is the config key and the resolved_config.txt name
     args = cli._build_parser().parse_args([command])
@@ -258,11 +244,13 @@ def test_every_flag_names_a_setting(command):
 
 def test_config_unknown_keys_rejected(tmp_path, capsys):
     config = tmp_path / "typo.cfg"
-    config.write_text("scenario = gaussian_pair\nbins = 7\nstep = 3\n")
+    config.write_text(
+        "scenario = gaussian_pair\nbins = 7\nstep = 3\nkl_variant_x = reverse\n"
+    )
     out = tmp_path / "typo_out"
     assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "unknown config keys: bins, step" in err
+    assert "unknown config keys: bins, kl_variant_x, step" in err
     assert not out.exists()
 
 
@@ -281,16 +269,24 @@ def test_config_bad_value_names_key_and_file(tmp_path, capsys, line):
 
 
 def test_resolved_config_feeds_back(tmp_path):
-    for method in ("I", "II"):
-        first = tmp_path / f"first_{method}"
-        args = small_run_args(first, method=method, extra=("--snapshot-steps", "12"))
-        assert run_cli(*args) == 0
-        again = tmp_path / f"again_{method}"
-        assert run_cli(
-            "run", "--config", str(first / "resolved_config.txt"), "--out", str(again)
-        ) == 0
-        for name in ("resolved_config.txt", "trajectory.csv", "particles_step12.csv"):
-            assert (again / name).read_bytes() == (first / name).read_bytes(), (method, name)
+    small = ("--scenario", "gaussian_pair", "--particles", "400", "--steps", "4", "--bins", "8")
+    cases = [
+        (("run", "--method", "I", *small, "--snapshot-steps", "4"),
+         ("trajectory.csv", "particles_step4.csv")),
+        (("run", "--method", "II", *small, "--snapshot-steps", "4"),
+         ("trajectory.csv", "particles_step4.csv")),
+        (("compare-methods", *small, "--seed", "2"), ("methods.csv",)),
+        (("validate-response", "--scenario", "gaussian_pair", "--quad-nodes", "12",
+          "--ode-horizon", "0.5", "--lambda-grid", "0.5,1"),
+         ("response_report.csv", "ode_trace.csv")),
+    ]
+    for i, (args, outputs) in enumerate(cases):
+        first, again = tmp_path / f"first_{i}", tmp_path / f"again_{i}"
+        assert run_cli(*args, "--out", str(first)) == 0
+        config = first / "resolved_config.txt"
+        assert run_cli(args[0], "--config", str(config), "--out", str(again)) == 0
+        for name in ("resolved_config.txt", *outputs):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), (args, name)
 
 
 def test_custom_csv_scenario(tmp_path):
@@ -414,8 +410,14 @@ def test_validate_response_ring_scenario(tmp_path):
     assert (out / "ode_trace.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [("--ode-horizon", "2.6"), ("--ode-dt", "0")])
+@pytest.mark.parametrize(
+    "flag",
+    [("--ode-horizon", "2.6"), ("--ode-dt", "0")]
+    + [("--lambda-grid", grid) for grid in ("nan", "inf", "-1", "0", ",")],
+)
 def test_validate_response_bad_ode_writes_no_csv(tmp_path, capsys, flag):
+    # a bad ODE horizon or step, or a lambda grid that is empty or holds a
+    # weight that is not finite and positive
     out = tmp_path / "resp"
     status = run_cli(
         "validate-response", "--scenario", "gaussian_pair", "--out", str(out),
@@ -423,8 +425,7 @@ def test_validate_response_bad_ode_writes_no_csv(tmp_path, capsys, flag):
     )
     assert status == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "response_report.csv").exists()
-    assert not (out / "ode_trace.csv").exists()
+    assert not out.exists()
 
 
 def test_validate_response_rejects_empirical(tmp_path):

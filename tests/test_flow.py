@@ -255,14 +255,6 @@ def test_interpolant_endpoints_and_midpoint(gaussian_pair):
         m.interpolant(ps, 1.5)
 
 
-def test_method_preset_mapping():
-    assert m.method_preset("I") == ("forward", "forward")
-    assert m.method_preset("II") == ("reverse", "reverse")
-    assert m.method_preset("III") == ("reverse", "forward")
-    with pytest.raises(ValueError):
-        m.method_preset("IV")
-
-
 def test_trajectory_csv_roundtrip(tmp_path, gaussian_pair, cost):
     mu, nu = gaussian_pair
     traj = m.run(mu, nu, cost, small_config(steps=5))

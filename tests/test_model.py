@@ -241,12 +241,21 @@ def test_flow_config_validation():
     ):
         with pytest.raises(ValueError):
             m.FlowConfig(**bad)
-    for name in ("kl_variant_x", "kl_variant_y"):
-        with pytest.raises(ValueError, match=f"{name} must be one of .*got 'sideways'"):
-            m.FlowConfig(**{name: "sideways"})
+    with pytest.raises(ValueError, match="method must be one of I, II, III, got 'IV'"):
+        m.FlowConfig(method="IV")
     with pytest.raises(ValueError, match="seed"):
         m.FlowConfig(seed=-1)
     assert m.FlowConfig(beta=0.0).beta == 0.0  # the fixed-penalty run
+
+
+def test_method_table():
+    # (mobile x family, mobile y family): the standard divergence on both,
+    # the reversed one on both, the reversed one toward the source only
+    assert m.METHOD_VARIANTS == {
+        "I": ("forward", "forward"),
+        "II": ("reverse", "reverse"),
+        "III": ("reverse", "forward"),
+    }
 
 
 @pytest.mark.parametrize("name", ["dt", "lambda0", "noise_std_coeff", "eta_var"])

@@ -269,8 +269,8 @@ def test_evaluator_validation(line_pair, cost):
     with pytest.raises(ValueError):
         m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=1)
     ev = m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=16)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="penalty weight must be finite and positive"):
             ev.partition_function(bad)
         with pytest.raises(ValueError):
             ev.marginal_kl_sum(bad)
