@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Box
+from .model import Box, check_points
 
 MAX_TOTAL_BINS = 10_000_000
 
 
-def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> np.ndarray:
+def bin_points(box: Box, bins_per_dim: int, pts) -> np.ndarray:
     """Table slot of each of ``pts`` (n, d) on the regular grid over ``box``:
     the C-order flat cell for points in the box, ``bins_per_dim ** dim`` (the
     outside slot of a per-cell table) for the rest. A coordinate on the upper
@@ -45,10 +45,8 @@ def bin_points(box: Box, bins_per_dim: int, pts: np.ndarray) -> np.ndarray:
     (d,) vector over (n, d) runs a length-d inner loop per row, many times
     slower than the same operations on one column.
     """
-    b = bins_per_dim
-    n, d = pts.shape
-    if d != box.dim:
-        raise ValueError(f"points have dim {d}, box has dim {box.dim}")
+    b, d = bins_per_dim, box.dim
+    pts = check_points(pts, d)
     steps = box.widths / b
     # A NaN or infinite coordinate casts to an arbitrary integer (numpy warns
     # of it); its point is outside, and the outside slot overwrites its cell.
@@ -130,14 +128,9 @@ class HistogramDensity:
     def binned_fraction(self) -> float:
         return float(self.counts.sum()) / self.total
 
-    def density_at(self, x):
-        """Histogram value at x; floor_eps outside the box. Accepts (d,) or (n, d)."""
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = self._cell_values[bin_points(self.box, self.bins_per_dim, pts)]
-        return float(out[0]) if single else out
+    def density_at(self, x) -> np.ndarray:
+        """Histogram value at each point of x (n, d); floor_eps outside the box."""
+        return self._cell_values[bin_points(self.box, self.bins_per_dim, x)]
 
     def cell_values(self) -> np.ndarray:
         """Per-cell values with ``floor_eps`` appended as the outside slot, so
@@ -157,14 +150,11 @@ def grid_centers(box: Box, bins_per_dim: int) -> np.ndarray:
 
 
 def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
-    """Count points into a regular grid over ``box``.
+    """Count the points (n, d) into a regular grid over ``box``.
 
     Points outside the box are dropped from the counts but still included in
     the total, so the histogram integrates to the binned fraction.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("cannot fit a histogram to an empty point list")
     if bins_per_dim < 2:
         raise ValueError("bins_per_dim must be >= 2")
     n_bins = bins_per_dim**box.dim
@@ -172,7 +162,10 @@ def fit_histogram(points, box: Box, bins_per_dim: int) -> HistogramDensity:
         raise ValueError(
             f"grid of {n_bins} bins exceeds the {MAX_TOTAL_BINS} bin budget"
         )
-    return histogram_from_cells(box, bins_per_dim, bin_points(box, bins_per_dim, pts))
+    slots = bin_points(box, bins_per_dim, points)
+    if slots.size == 0:
+        raise ValueError("cannot fit a histogram to an empty point list")
+    return histogram_from_cells(box, bins_per_dim, slots)
 
 
 def count_slots(box: Box, bins_per_dim: int, slots: np.ndarray) -> np.ndarray:
@@ -262,11 +255,9 @@ def _one_sided_grad(
     the flow clamps its particles into the box and never asks for one.
     """
     _check_same_grid(h, ref)
-    n, d = np.shape(x)
-    if d != h.dim or n != len(slots):
-        raise ValueError(
-            f"points have shape ({n}, {d}), expected ({len(slots)}, {h.dim}) on h's grid"
-        )
+    n, d = len(slots), h.dim
+    if np.shape(x) != (n, d):
+        raise ValueError(f"points have shape {np.shape(x)}, expected ({n}, {d}) on h's grid")
     if np.shape(up) != (n, d):
         raise ValueError(f"side bits have shape {np.shape(up)}, expected ({n}, {d})")
     f = field(h.cell_values(), ref.cell_values())

@@ -304,11 +304,6 @@ def run(
 
     ps = init_particles(mu, nu, cfg, np.random.default_rng(init_ss))
 
-    ref_rng = np.random.default_rng(ref_ss)
-    n_ref = REF_SAMPLE_FACTOR * cfg.n_pairs
-    mu_samples = _reference_samples(mu, n_ref, ref_rng)
-    nu_samples = _reference_samples(nu, n_ref, ref_rng)
-
     # The estimation boxes cover the input samples (the frozen families, plus
     # the raw samples of empirical marginals) and every position the mobile
     # families can reach, and stay fixed for the whole run.
@@ -319,8 +314,11 @@ def run(
         [ps.y1, ps.y2] + ([nu.samples] if nu.kind == "empirical" else []), BOX_PAD_FRACTION
     )
     b = cfg.bins_per_dim
-    mu_ref = fit_histogram(mu_samples, box_x, b)
-    nu_ref = fit_histogram(nu_samples, box_y, b)
+    # One marginal's reference samples are alive at a time.
+    ref_rng = np.random.default_rng(ref_ss)
+    n_ref = REF_SAMPLE_FACTOR * cfg.n_pairs
+    mu_ref = fit_histogram(_reference_samples(mu, n_ref, ref_rng), box_x, b)
+    nu_ref = fit_histogram(_reference_samples(nu, n_ref, ref_rng), box_y, b)
 
     # Diagnostics compare against the analytic density when there is one,
     # otherwise against the sample-based reference histogram.

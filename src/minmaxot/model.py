@@ -52,28 +52,31 @@ class Box:
         """Bounding box of the stacked (n, d) point arrays, widened on each
         side by ``pad_fraction`` of its span per axis (spans floored at 1e-9,
         so coincident points still give a box)."""
-        stacked = np.vstack(arrays)
+        stacked = np.vstack([check_points(a) for a in arrays])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
         pad = pad_fraction * span
         return cls(lo - pad, hi + pad)
 
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
-    """Coerce to an (n, d) array; report whether the input was a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+def check_points(x, dim: int | None = None) -> np.ndarray:
+    """``x`` as a float (n, d) array of points, one per row, with d = ``dim``
+    when it is given. Any other shape raises ``ValueError`` naming the
+    expected one; a flat array is not read as one point."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or (dim is not None and pts.shape[1] != dim):
+        expected = f"(n, {'d' if dim is None else dim})"
+        raise ValueError(f"points must be an {expected} array, got shape {pts.shape}")
+    return pts
 
 
 @dataclass(frozen=True)
 class Marginal:
     """A probability measure on R^d.
 
-    For analytic marginals, ``density_at`` accepts a single point (d,) or a
-    batch (n, d). Empirical marginals carry only raw samples; any density
-    view of them comes from a fitted histogram.
+    For analytic marginals, ``density_at`` takes an (n, d) batch and returns
+    one density per row. Empirical marginals carry only raw samples; any
+    density view of them comes from a fitted histogram.
     """
 
     kind: str  # "analytic" | "empirical"
@@ -89,9 +92,7 @@ class Marginal:
                 "empirical marginal has no analytic density; fit a histogram "
                 "from its samples instead"
             )
-        pts, single = _as_points(x)
-        out = self._density(pts)
-        return float(out[0]) if single else out
+        return self._density(check_points(x, self.dim))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self._sampler is not None:
@@ -106,8 +107,8 @@ class Marginal:
 class CostFunction:
     """Transport cost c(x, y) >= 0 with gradients in both arguments.
 
-    ``evaluate``, ``grad_x`` and ``grad_y`` are vectorized over paired rows of
-    (n, d_x) and (n, d_y) arrays.
+    ``evaluate``, ``grad_x`` and ``grad_y`` take paired rows of two (n, d)
+    arrays and return one cost, or one gradient row, per pair.
     """
 
     evaluate: Callable
@@ -120,27 +121,23 @@ def quadratic_cost() -> CostFunction:
     """Squared Euclidean cost |x - y|^2."""
 
     def evaluate(x, y):
-        x, sx = _as_points(x)
-        y, _ = _as_points(y)
+        x = check_points(x)
+        y = check_points(y, x.shape[1])
         # Summed column by column, in numpy's order for up to 7 axes (from 8 it
         # sums pairwise); a reduction over the short last axis is many times
         # slower than adding columns.
         out = (x[:, 0] - y[:, 0]) ** 2
         for a in range(1, x.shape[1]):
             out += (x[:, a] - y[:, a]) ** 2
-        return float(out[0]) if sx else out
+        return out
 
     def grad_x(x, y):
-        x, sx = _as_points(x)
-        y, _ = _as_points(y)
-        out = 2.0 * (x - y)
-        return out[0] if sx else out
+        x = check_points(x)
+        return 2.0 * (x - check_points(y, x.shape[1]))
 
     def grad_y(x, y):
-        x, sx = _as_points(x)
-        y, _ = _as_points(y)
-        out = 2.0 * (y - x)
-        return out[0] if sx else out
+        x = check_points(x)
+        return 2.0 * (check_points(y, x.shape[1]) - x)
 
     return CostFunction(evaluate=evaluate, grad_x=grad_x, grad_y=grad_y, name="quadratic")
 
@@ -178,8 +175,9 @@ def make_gaussian(mean, covariance) -> Marginal:
         return np.exp(log_norm - 0.5 * quad)
 
     def sampler(n, rng):
-        z = rng.standard_normal((n, d))
-        return z @ chol.T + mean
+        out = rng.standard_normal((n, d)) @ chol.T
+        out += mean
+        return out
 
     return Marginal(
         kind="analytic",
@@ -324,7 +322,7 @@ def make_ring_peak(
 
 def make_empirical(samples) -> Marginal:
     """Empirical marginal from raw sample points (n, d)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = check_points(samples)
     if samples.shape[0] < 2:
         raise ValueError("empirical marginal needs at least 2 samples")
     if not np.all(np.isfinite(samples)):

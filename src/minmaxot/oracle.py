@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostFunction
+from .model import CostFunction, check_points
 
 MAX_EXACT_POINTS = 512
 
@@ -89,8 +89,8 @@ def discrete_ot(xs, ys, cost: CostFunction) -> DiscretePlan:
     """
     from scipy.optimize import linear_sum_assignment
 
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    xs = check_points(xs)
+    ys = check_points(ys, xs.shape[1])
     n = xs.shape[0]
     if ys.shape[0] != n:
         raise ValueError(f"point counts differ: {n} vs {ys.shape[0]}")

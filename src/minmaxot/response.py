@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import Box, CostFunction, Marginal
+from .model import Box, CostFunction, Marginal, check_points
 
 
 def _tensor_gauss_legendre(
@@ -115,14 +115,18 @@ class ResponseEvaluator:
         # Per-axis cost matrices C_a[i, j] = c(x_a[i], y_a[j]).
         self._axis_costs = [self._axis_cost(u, v) for u, v in zip(self._axes_x, self._axes_y)]
 
-        # sum_a C_a must reproduce the cost on evenly spaced joint node pairs.
+        # sum_a C_a must reproduce the cost on evenly spaced joint node pairs,
+        # checked one x node at a time. np.maximum keeps a NaN, which fails.
         idx = np.linspace(0, len(self.nodes_x) - 1, 256).astype(np.int64)
-        ii, jj = (g.ravel() for g in np.meshgrid(idx, idx, indexing="ij"))
-        direct = self.cost.evaluate(self.nodes_x[ii], self.nodes_y[jj])
-        shape = (quad_nodes_per_dim,) * mu.dim
-        pairs = zip(self._axis_costs, np.unravel_index(ii, shape), np.unravel_index(jj, shape))
-        summed = sum(c[i, j] for c, i, j in pairs)
-        if not np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct)):
+        axis_idx = np.unravel_index(idx, (quad_nodes_per_dim,) * mu.dim)
+        summed = sum(c[np.ix_(i, i)] for c, i in zip(self._axis_costs, axis_idx))
+        ys = self.nodes_y[idx]
+        err = scale = 0.0
+        for k, row in zip(idx, summed):
+            direct = self.cost.evaluate(np.broadcast_to(self.nodes_x[k], ys.shape), ys)
+            err = np.maximum(err, np.max(np.abs(row - direct)))
+            scale = np.maximum(scale, np.max(np.abs(direct)))
+        if not err <= 1e-12 * scale:
             raise ValueError(f"cost {cost.name!r} is not a sum over axes of its 1-D terms")
 
     def _axis_cost(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -165,40 +169,33 @@ class ResponseEvaluator:
         pas = self._kernel_pass(lam)
         return float(self.w_mu @ pas["z1"])
 
-    def _partition_at(self, lam: float, pts, given_x: bool):
-        """Z1 (``given_x``) or Z2 at query points, from 1-D kernel rows."""
+    def _partition_at(self, lam: float, pts, given_x: bool) -> np.ndarray:
+        """Z1 (``given_x``) or Z2 at query points (n, d), from 1-D kernel rows."""
         lam = self._check_lam(lam)
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        pts = check_points(pts, self.mu.dim)
         rows = [
             np.exp(-(self._axis_cost(p, v) if given_x else self._axis_cost(u, p).T) / lam)
             for p, u, v in zip(pts.T, self._axes_x, self._axes_y)
         ]
-        out = _apply_factored(rows, self.w_nu if given_x else self.w_mu, paired=True)
-        return float(out[0]) if single else out
+        return _apply_factored(rows, self.w_nu if given_x else self.w_mu, paired=True)
 
-    def partition_given_x(self, lam: float, x) -> float | np.ndarray:
-        """Z1(x) = integral of exp(-c(x, .)/lam) d(nu)."""
+    def partition_given_x(self, lam: float, x) -> np.ndarray:
+        """Z1(x) = integral of exp(-c(x, .)/lam) d(nu) at each point of x (n, d)."""
         return self._partition_at(lam, x, given_x=True)
 
-    def partition_given_y(self, lam: float, y) -> float | np.ndarray:
-        """Z2(y) = integral of exp(-c(., y)/lam) d(mu)."""
+    def partition_given_y(self, lam: float, y) -> np.ndarray:
+        """Z2(y) = integral of exp(-c(., y)/lam) d(mu) at each point of y (n, d)."""
         return self._partition_at(lam, y, given_x=False)
 
     # -- best-response marginals -----------------------------------------------
 
-    def best_response_marginal_x(self, lam: float, x) -> float | np.ndarray:
-        """First marginal of the tilted measure: mu(x) Z1(x) / Z."""
-        lam = self._check_lam(lam)
-        z = self.partition_function(lam)
-        return self.mu.density_at(x) * self.partition_given_x(lam, x) / z
+    def best_response_marginal_x(self, lam: float, x) -> np.ndarray:
+        """First marginal of the tilted measure, mu(x) Z1(x) / Z, at x (n, d)."""
+        return self.mu.density_at(x) * self.partition_given_x(lam, x) / self.partition_function(lam)
 
-    def best_response_marginal_y(self, lam: float, y) -> float | np.ndarray:
-        """Second marginal of the tilted measure: nu(y) Z2(y) / Z."""
-        lam = self._check_lam(lam)
-        z = self.partition_function(lam)
-        return self.nu.density_at(y) * self.partition_given_y(lam, y) / z
+    def best_response_marginal_y(self, lam: float, y) -> np.ndarray:
+        """Second marginal of the tilted measure, nu(y) Z2(y) / Z, at y (n, d)."""
+        return self.nu.density_at(y) * self.partition_given_y(lam, y) / self.partition_function(lam)
 
     # -- value function and derivative ------------------------------------------
 

@@ -39,8 +39,9 @@ def test_fit_histogram_uniform_occupancy():
 def test_fit_histogram_single_cell_mass():
     pts = np.full((6, 2), 0.1)
     h = m.fit_histogram(pts, unit_box(), 2)
-    assert h.density_at(np.array([0.1, 0.1])) == pytest.approx(4.0)
-    assert h.density_at(np.array([0.9, 0.9])) == h.floor_eps
+    inside, outside = h.density_at(np.array([[0.1, 0.1], [0.9, 0.9]]))
+    assert inside == pytest.approx(4.0)
+    assert outside == h.floor_eps
 
 
 def test_fit_histogram_uniform_concentration():
@@ -64,12 +65,11 @@ def test_density_at_lookup_conventions():
     rng = np.random.default_rng(0)
     h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
     centers = grid_centers(h.box, h.bins_per_dim)
-    assert h.density_at(centers[5]) == h.values[5]
+    assert h.density_at(centers[5:6])[0] == h.values[5]
     # outside the box
-    assert h.density_at(np.array([2.0, 2.0])) == h.floor_eps
+    assert h.density_at(np.array([[2.0, 2.0]]))[0] == h.floor_eps
     # piecewise constant within one bin
-    a = h.density_at(np.array([0.30, 0.30]))
-    b = h.density_at(np.array([0.49, 0.26]))
+    a, b = h.density_at(np.array([[0.30, 0.30], [0.49, 0.26]]))
     assert a == b
 
 
@@ -126,8 +126,8 @@ def test_sign_average_equals_central_difference():
     for a in range(2):
         step = np.zeros(2)
         step[a] = w[a]
-        f = lambda z: np.log(h.density_at(z) / 1.0)
-        central = (f(x[0] + step) - f(x[0] - step)) / (2 * w[a])
+        f = lambda z: np.log(h.density_at(z)[0] / 1.0)
+        central = (f(x + step) - f(x - step)) / (2 * w[a])
         assert 0.5 * (g_plus[0, a] + g_minus[0, a]) == pytest.approx(central, rel=1e-12)
 
 
@@ -181,11 +181,11 @@ def test_side_bits_equal_two_integer_draws(shape):
 def test_points_of_another_dimension_are_rejected():
     rng = np.random.default_rng(10)
     h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
-    with pytest.raises(ValueError, match="dim 1, box has dim 2"):
+    with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(2, 1\)"):
         h.density_at([[0.9], [0.1]])
-    with pytest.raises(ValueError, match="dim 3, box has dim 2"):
-        h.density_at([0.1, 0.2, 0.3])
-    with pytest.raises(ValueError, match="dim 1, box has dim 2"):
+    with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(1, 3\)"):
+        h.density_at([[0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(2, 1\)"):
         drift("forward", h, h, np.array([[0.9], [0.1]]), rng)
     # slots of 2-D points offered with 3-D points
     slots = bin_points(h.box, 4, np.full((2, 2), 0.5))

@@ -39,7 +39,7 @@ def test_zero_cost_degenerates(line_pair):
     mu, nu = line_pair
     ev = m.ResponseEvaluator(mu, nu, zero_cost(), quad_nodes_per_dim=80)
     assert ev.partition_function(0.3) == pytest.approx(1.0, abs=1e-6)
-    assert ev.partition_given_x(0.3, np.array([0.05])) == pytest.approx(1.0, abs=1e-6)
+    assert ev.partition_given_x(0.3, np.array([[0.05]]))[0] == pytest.approx(1.0, abs=1e-6)
     assert ev.marginal_kl_sum(0.3) == pytest.approx(0.0, abs=1e-6)
     assert ev.marginal_kl_sum_derivative(0.3) == pytest.approx(0.0, abs=1e-6)
     assert ev.best_response_energy(0.3) == pytest.approx(0.0, abs=1e-6)
@@ -61,7 +61,7 @@ def test_partition_function_matches_1d_closed_form(line_evaluator):
 def test_partition_given_x_closed_form(line_evaluator):
     lam = 0.1
     for x in (0.0, 0.1, -0.2):
-        z1 = line_evaluator.partition_given_x(lam, np.array([x]))
+        z1 = line_evaluator.partition_given_x(lam, np.array([[x]]))[0]
         expected = (1 + 2 * 0.01 / lam) ** -0.5 * np.exp(-((x - 0.15) ** 2) / (lam + 2 * 0.01))
         assert z1 == pytest.approx(expected, rel=1e-6)
 
@@ -225,11 +225,11 @@ def test_energy_upper_bound_boundary(pair_evaluator):
 def test_product_of_marginals_is_not_the_tilted_density(pair_evaluator):
     # the product form only matches where Z1(x) Z2(y) ~ Z, not at generic probes
     lam = 0.1
-    x = np.array([0.45, 0.35])
-    y = np.array([0.55, 0.65])
+    x = np.array([[0.45, 0.35]])
+    y = np.array([[0.55, 0.65]])
     z = pair_evaluator.partition_function(lam)
     b1b2 = pair_evaluator.best_response_marginal_x(lam, x) * pair_evaluator.best_response_marginal_y(lam, y)
-    c = float(pair_evaluator.cost.evaluate(x[None, :], y[None, :])[0])
+    c = pair_evaluator.cost.evaluate(x, y)
     sigma = (
         np.exp(-c / lam)
         * pair_evaluator.mu.density_at(x)
@@ -297,10 +297,21 @@ def euclidean_cost():
     return m.CostFunction(evaluate=evaluate, grad_x=None, grad_y=None, name="euclidean")
 
 
+def nan_axis_cost():
+    """The quadratic cost on joint points whose per-axis terms are NaN."""
+
+    def evaluate(x, y):
+        out = ((x - y) ** 2).sum(axis=1)
+        return out if x.shape[1] > 1 else np.full(len(x), np.nan)
+
+    return m.CostFunction(evaluate=evaluate, grad_x=None, grad_y=None, name="nan_axis")
+
+
 def test_cost_not_a_sum_over_axes_is_rejected(gaussian_pair):
     mu, nu = gaussian_pair
-    with pytest.raises(ValueError, match="sum over axes"):
-        m.ResponseEvaluator(mu, nu, euclidean_cost(), quad_nodes_per_dim=8)
+    for cost in (euclidean_cost(), nan_axis_cost()):
+        with pytest.raises(ValueError, match="sum over axes"):
+            m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=8)
 
 
 def test_marginals_of_different_dimension_are_rejected(line_pair, gaussian_pair, cost):
