@@ -3,6 +3,7 @@ penalized min-max gradient flow, with a quadrature-backed semi-analytic
 layer and exact oracles for validation."""
 
 from .density import (
+    Grid,
     HistogramDensity,
     fit_histogram,
     grad_log_ratio_forward,
@@ -53,6 +54,7 @@ __all__ = [
     "DiscretePlan",
     "FlowConfig",
     "FlowDivergedError",
+    "Grid",
     "HistogramDensity",
     "Marginal",
     "ParticleSystem",

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import (
+    Grid,
     fit_histogram,
     kl_estimate,
     kl_estimate_reverse,
@@ -219,6 +220,8 @@ def cmd_run(spec: ExperimentSpec) -> int:
     mu, nu = scenario_marginals(spec)
     cost = quadratic_cost()
     cfg = spec.flow
+    # An over-budget grid stops the command before it writes any file.
+    Grid.cell_count(cfg.bins_per_dim, max(mu.dim, nu.dim))
 
     out = spec.outputs
     out.mkdir(parents=True, exist_ok=True)
@@ -263,6 +266,7 @@ def cmd_compare_methods(spec: ExperimentSpec) -> int:
     if mu.kind != "analytic" or nu.kind != "analytic":
         print("error: compare-methods needs an analytic scenario", file=sys.stderr)
         return 1
+    Grid.cell_count(spec.flow.bins_per_dim, max(mu.dim, nu.dim))
     cost = quadratic_cost()
     out = spec.outputs
     out.mkdir(parents=True, exist_ok=True)
@@ -290,8 +294,9 @@ def marginal_error_table(ps, mu: Marginal, nu: Marginal, bins_per_dim: int):
     """Final-state marginal errors: summed L2, forward KL, reverse KL, total."""
 
     def errors(points, ref):
-        rho = fit_histogram(points, Box.hull([points], BOX_PAD_FRACTION), bins_per_dim)
-        q = reference_at_centers(rho, ref)
+        grid = Grid(Box.hull([points], BOX_PAD_FRACTION), bins_per_dim)
+        rho = fit_histogram(points, grid)
+        q = reference_at_centers(grid, ref)
         return l2_error(rho, q), kl_estimate(rho, q), kl_estimate_reverse(rho, q)
 
     l2, kl, rkl = (a + b for a, b in zip(errors(ps.pooled_x(), mu), errors(ps.pooled_y(), nu)))
@@ -411,6 +416,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     unknown = sorted(set(text) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    if {"particles", "n_pairs"} <= text.keys():
+        raise ValueError(f"{args.config} gives both particles and n_pairs; give one of them")
     values = {}
     for key, val in text.items():
         try:

@@ -23,9 +23,9 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package, not in a run
 
 from .density import (
+    Grid,
     HistogramDensity,
     bin_points,
-    count_slots,
     fit_histogram,
     grad_log_ratio_forward,
     grad_log_ratio_reverse,
@@ -164,12 +164,6 @@ def init_particles(mu: Marginal, nu: Marginal, cfg: FlowConfig, rng: np.random.G
     return ParticleSystem(x1=x1, y1=y1, x2=x2, y2=y2, lam=cfg.lambda0, step_index=0)
 
 
-def _drift_estimator(variant: str):
-    # Read from the module's names at each call, so a wrapper bound over them
-    # (a profiler's) sees every drift.
-    return grad_log_ratio_forward if variant == "forward" else grad_log_ratio_reverse
-
-
 def _clip_columns(arr: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
     """Clip each column of ``arr`` (n, d) in place to [low[a], high[a]].
 
@@ -205,9 +199,11 @@ def step_particles(
     noise_std = cfg.noise_std_coeff * np.sqrt(dt)
 
     variant_x, variant_y = METHOD_VARIANTS[cfg.method]
+    # Looked up at each call, so a wrapper bound over the module's names sees every drift.
+    drift = {"forward": grad_log_ratio_forward, "reverse": grad_log_ratio_reverse}
     up_x, up_y = side_bits(rng, ps.x2.shape)
-    g_x = _drift_estimator(variant_x)(rho1, mu_ref, ps.x2, up_x, x2_slots)
-    g_y = _drift_estimator(variant_y)(rho2, nu_ref, ps.y1, up_y, y1_slots)
+    g_x = drift[variant_x](rho1, mu_ref, ps.x2, up_x, x2_slots)
+    g_y = drift[variant_y](rho2, nu_ref, ps.y1, up_y, y1_slots)
     x2 = _advance(ps.x2, cost.grad_x(ps.x2, ps.y2), g_x, ps.lam, dt, rho1, noise_std, rng)
     y1 = _advance(ps.y1, cost.grad_y(ps.x1, ps.y1), g_y, ps.lam, dt, rho2, noise_std, rng)
 
@@ -240,7 +236,7 @@ def _advance(pos, grad, g, lam, dt, rho: HistogramDensity, noise_std, rng) -> np
     # Cap the drift displacement at one bin width per axis: the histogram
     # cannot resolve a ratio beyond its own grid, and floored cells would
     # otherwise fling boundary particles arbitrarily far in one step.
-    _clip_columns(move, -rho.bin_widths, rho.bin_widths)
+    _clip_columns(move, -rho.grid.bin_widths, rho.grid.bin_widths)
     move += pos
     noise = rng.standard_normal(pos.shape)
     noise *= noise_std
@@ -313,30 +309,31 @@ def run(
     box_y = Box.hull(
         [ps.y1, ps.y2] + ([nu.samples] if nu.kind == "empirical" else []), BOX_PAD_FRACTION
     )
-    b = cfg.bins_per_dim
+    # Every histogram, binning and diagnostic of a marginal shares its grid.
+    grid_x, grid_y = Grid(box_x, cfg.bins_per_dim), Grid(box_y, cfg.bins_per_dim)
     # One marginal's reference samples are alive at a time.
     ref_rng = np.random.default_rng(ref_ss)
     n_ref = REF_SAMPLE_FACTOR * cfg.n_pairs
-    mu_ref = fit_histogram(_reference_samples(mu, n_ref, ref_rng), box_x, b)
-    nu_ref = fit_histogram(_reference_samples(nu, n_ref, ref_rng), box_y, b)
+    mu_ref = fit_histogram(_reference_samples(mu, n_ref, ref_rng), grid_x)
+    nu_ref = fit_histogram(_reference_samples(nu, n_ref, ref_rng), grid_y)
 
     # Diagnostics compare against the analytic density when there is one,
     # otherwise against the sample-based reference histogram.
-    q_mu = reference_at_centers(mu_ref, mu if mu.kind == "analytic" else mu_ref)
-    q_nu = reference_at_centers(nu_ref, nu if nu.kind == "analytic" else nu_ref)
+    q_mu = reference_at_centers(grid_x, mu if mu.kind == "analytic" else mu_ref)
+    q_nu = reference_at_centers(grid_y, nu if nu.kind == "analytic" else nu_ref)
 
     # The frozen families never move: bin and count them once. The mobile
     # ones are binned once per step, and their slots serve both the fit and
     # the drift.
-    x1_counts = count_slots(box_x, b, bin_points(box_x, b, ps.x1))
-    y2_counts = count_slots(box_y, b, bin_points(box_y, b, ps.y2))
+    x1_counts = grid_x.count(bin_points(grid_x, ps.x1))
+    y2_counts = grid_y.count(bin_points(grid_y, ps.y2))
 
     try:
         for k in range(cfg.steps + 1):
-            x2_slots = bin_points(box_x, b, ps.x2)
-            y1_slots = bin_points(box_y, b, ps.y1)
-            rho1 = histogram_from_cells(box_x, b, x2_slots, counted=x1_counts)
-            rho2 = histogram_from_cells(box_y, b, y1_slots, counted=y2_counts)
+            x2_slots = bin_points(grid_x, ps.x2)
+            y1_slots = bin_points(grid_y, ps.y1)
+            rho1 = histogram_from_cells(grid_x, x2_slots, counted=x1_counts)
+            rho2 = histogram_from_cells(grid_y, y1_slots, counted=y2_counts)
             kl1, kl2 = kl_estimate(rho1, q_mu), kl_estimate(rho2, q_nu)
             l2_1, l2_2 = l2_error(rho1, q_mu), l2_error(rho2, q_nu)
             pair_cost = empirical_coupling_cost(ps, cost)

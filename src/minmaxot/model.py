@@ -19,7 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [low_i, high_i] in R^d. ``widths`` (high - low,
-    read-only) is computed once, at construction."""
+    read-only) is computed once, at construction. Boxes compare by their
+    bounds."""
 
     low: np.ndarray
     high: np.ndarray
@@ -39,6 +40,11 @@ class Box:
         widths = high - low
         widths.setflags(write=False)
         object.__setattr__(self, "widths", widths)
+
+    def __eq__(self, other):
+        if not isinstance(other, Box):
+            return NotImplemented
+        return np.array_equal(self.low, other.low) and np.array_equal(self.high, other.high)
 
     @property
     def dim(self) -> int:

@@ -204,8 +204,8 @@ def reference_counts(points, box, bins_per_dim):
 
 def reference_density_at(h, pts):
     """Histogram value at each point, floor_eps outside the box."""
-    flat, inside = reference_flat_index(h.box, h.bins_per_dim, pts)
-    out = np.full(len(pts), h.floor_eps)
+    flat, inside = reference_flat_index(h.box, h.grid.bins_per_dim, pts)
+    out = np.full(len(pts), h.grid.floor_eps)
     out[inside] = h.values[flat[inside]]
     return out
 
@@ -214,8 +214,8 @@ def _reference_field(h, ref, variant):
     """log(h/ref) ("forward") or -ref/h ("reverse") on every cell of h's grid,
     in flat order, with the value of two floored densities appended for the
     outside of the box."""
-    hv = np.append(h.values, h.floor_eps)
-    rv = np.append(ref.values, ref.floor_eps)
+    hv = np.append(h.values, h.grid.floor_eps)
+    rv = np.append(ref.values, ref.grid.floor_eps)
     return np.log(hv / rv) if variant == "forward" else -rv / hv
 
 
@@ -227,9 +227,9 @@ def reference_drift(h, ref, x, rng, variant):
     outside the box reads 0."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = pts.shape
-    b = h.bins_per_dim
+    b = h.grid.bins_per_dim
     outside = b**d
-    widths = h.bin_widths
+    widths = h.grid.bin_widths
     up = rng.integers(0, 2, size=(n, d))
     f = _reference_field(h, ref, variant)
     flat, inside = reference_flat_index(h.box, b, pts)
@@ -257,7 +257,6 @@ def reference_run(mu, nu, cost, cfg):
     trajectory columns (t, lambda, kl1, kl2, cost, l2_mu, l2_nu) as one
     (steps + 1, 7) array and the final (x1, y1, x2, y2, lambda)."""
     import minmaxot as m
-    from minmaxot.density import grid_centers
     from minmaxot.flow import BOX_PAD_FRACTION, REF_SAMPLE_FACTOR
 
     root = np.random.SeedSequence(cfg.seed)
@@ -272,12 +271,12 @@ def reference_run(mu, nu, cost, cfg):
 
     def fit(points, box):
         counts = reference_counts(points, box, b)
-        return m.HistogramDensity(box=box, bins_per_dim=b, counts=counts, total=len(points))
+        return m.HistogramDensity(grid=m.Grid(box, b), counts=counts, total=len(points))
 
     mu_ref, nu_ref = fit(mu_samples, box_x), fit(nu_samples, box_y)
     def center_values(marginal, box):
         floor = 1e-10 / float(np.prod(box.widths / b))
-        return np.maximum(marginal.density_at(grid_centers(box, b)), floor)
+        return np.maximum(marginal.density_at(m.Grid(box, b).centers()), floor)
 
     q_mu, q_nu = center_values(mu, box_x), center_values(nu, box_y)
 
@@ -302,8 +301,8 @@ def reference_run(mu, nu, cost, cfg):
         g_y = reference_drift(rho2, nu_ref, y1, rng, variant_y)
         move_x = cfg.dt * (-cost.grad_x(x2, y2) - lam * g_x)
         move_y = cfg.dt * (-cost.grad_y(x1, y1) - lam * g_y)
-        np.clip(move_x, -rho1.bin_widths, rho1.bin_widths, out=move_x)
-        np.clip(move_y, -rho2.bin_widths, rho2.bin_widths, out=move_y)
+        np.clip(move_x, -rho1.grid.bin_widths, rho1.grid.bin_widths, out=move_x)
+        np.clip(move_y, -rho2.grid.bin_widths, rho2.grid.bin_widths, out=move_y)
         x2 = x2 + move_x + noise_std * rng.standard_normal(x2.shape)
         y1 = y1 + move_y + noise_std * rng.standard_normal(y1.shape)
         np.clip(x2, box_x.low, box_x.high, out=x2)

@@ -268,6 +268,34 @@ def test_config_bad_value_names_key_and_file(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_config_with_particles_and_n_pairs_is_rejected(tmp_path, capsys):
+    config = tmp_path / "both.cfg"
+    config.write_text("scenario = gaussian_pair\nn_pairs = 100\nparticles = 400\n")
+    out = tmp_path / "both_out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{config} gives both particles and n_pairs" in err
+    assert not out.exists()
+
+
+def test_particles_flag_overrides_config_n_pairs(tmp_path):
+    config = tmp_path / "pairs.cfg"
+    config.write_text("scenario = gaussian_pair\nn_pairs = 100\nsteps = 2\nbins_per_dim = 8\n")
+    out = tmp_path / "pairs_out"
+    assert run_cli("run", "--config", str(config), "--particles", "400", "--out", str(out)) == 0
+    assert "n_pairs = 200" in (out / "resolved_config.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "compare-methods"])
+def test_over_budget_grid_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "huge_grid"
+    argv = (command, "--scenario", "gaussian_pair", "--particles", "400", "--steps", "2")
+    assert run_cli(*argv, "--bins", "5000", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "grid of 25000000 bins exceeds the 10000000 bin budget" in err
+    assert not out.exists()
+
+
 def test_resolved_config_feeds_back(tmp_path):
     small = ("--scenario", "gaussian_pair", "--particles", "400", "--steps", "4", "--bins", "8")
     cases = [

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 import minmaxot as m
-from minmaxot.density import bin_points, grid_centers, reference_at_centers, side_bits
+from minmaxot.density import MAX_TOTAL_BINS, bin_points, reference_at_centers, side_bits
 
 
 def unit_box():
     return m.Box(np.zeros(2), np.ones(2))
+
+
+def unit_grid(b):
+    return m.Grid(unit_box(), b)
 
 
 class ConstantDensity:
@@ -31,43 +35,72 @@ class FixedSignRng:
 
 def test_fit_histogram_uniform_occupancy():
     pts = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
-    h = m.fit_histogram(pts, unit_box(), 2)
+    h = m.fit_histogram(pts, unit_grid(2))
     assert np.allclose(h.values, 1.0)
     assert h.binned_fraction == 1.0
 
 
 def test_fit_histogram_single_cell_mass():
     pts = np.full((6, 2), 0.1)
-    h = m.fit_histogram(pts, unit_box(), 2)
+    h = m.fit_histogram(pts, unit_grid(2))
     inside, outside = h.density_at(np.array([[0.1, 0.1], [0.9, 0.9]]))
     assert inside == pytest.approx(4.0)
-    assert outside == h.floor_eps
+    assert outside == h.grid.floor_eps
 
 
 def test_fit_histogram_uniform_concentration():
     # binomial 3-sigma: sqrt(p(1-p)/n) / (p * cell volume) ~ 0.031 per cell
     rng = np.random.default_rng(123)
     pts = rng.random((100_000, 2))
-    h = m.fit_histogram(pts, unit_box(), 10)
+    h = m.fit_histogram(pts, unit_grid(10))
     assert np.abs(h.values - 1.0).max() <= 0.1
 
 
 def test_fit_histogram_validation():
     with pytest.raises(ValueError):
-        m.fit_histogram(np.empty((0, 2)), unit_box(), 4)
+        m.fit_histogram(np.empty((0, 2)), unit_grid(4))
     with pytest.raises(ValueError):
-        m.fit_histogram(np.zeros((3, 2)), unit_box(), 4000)  # bin budget
-    with pytest.raises(ValueError):
-        m.fit_histogram(np.zeros((3, 3)), unit_box(), 4)  # dim mismatch
+        m.fit_histogram(np.zeros((3, 3)), unit_grid(4))  # dim mismatch
+
+
+def test_grid_checks_its_shape_once():
+    with pytest.raises(ValueError, match="bins_per_dim must be >= 2"):
+        unit_grid(1)
+    with pytest.raises(ValueError, match="bins_per_dim must be >= 2"):
+        m.Grid(m.Box([0.0], [1.0]), 0)
+    with pytest.raises(ValueError, match=f"grid of 16000000 bins exceeds the {MAX_TOTAL_BINS}"):
+        unit_grid(4000)
+    # the budget counts cells over every axis
+    m.Grid(m.Box([0.0], [1.0]), MAX_TOTAL_BINS)
+    with pytest.raises(ValueError, match="bin budget"):
+        m.Grid(m.Box([0.0], [1.0]), MAX_TOTAL_BINS + 1)
+    grid = m.Grid(m.Box([0.0, -1.0], [1.0, 3.0]), 4)
+    assert grid.n_cells == 16
+    assert grid.bin_widths.tolist() == [0.25, 1.0]
+    assert grid.cell_volume == 0.25
+    assert grid.floor_eps == 1e-10 / 0.25
+    assert grid.centers()[:2].tolist() == [[0.125, -0.5], [0.125, 0.5]]
+
+
+def test_grids_compare_by_value_and_histograms_by_identity():
+    grid = unit_grid(4)
+    assert grid == m.Grid(m.Box([0.0, 0.0], [1.0, 1.0]), 4)
+    assert grid != unit_grid(5)
+    assert grid != m.Grid(m.Box([0.0, 0.0], [1.0, 2.0]), 4)
+    pts = np.random.default_rng(12).random((100, 2))
+    h = m.fit_histogram(pts, grid)
+    assert h == h
+    assert h != m.fit_histogram(pts, grid)
+    assert h.box is grid.box
 
 
 def test_density_at_lookup_conventions():
     rng = np.random.default_rng(0)
-    h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
-    centers = grid_centers(h.box, h.bins_per_dim)
+    h = m.fit_histogram(rng.random((500, 2)), unit_grid(4))
+    centers = h.grid.centers()
     assert h.density_at(centers[5:6])[0] == h.values[5]
     # outside the box
-    assert h.density_at(np.array([[2.0, 2.0]]))[0] == h.floor_eps
+    assert h.density_at(np.array([[2.0, 2.0]]))[0] == h.grid.floor_eps
     # piecewise constant within one bin
     a, b = h.density_at(np.array([[0.30, 0.30], [0.49, 0.26]]))
     assert a == b
@@ -76,7 +109,7 @@ def test_density_at_lookup_conventions():
 def test_mass_conservation_exact():
     rng = np.random.default_rng(1)
     pts = rng.normal(0.5, 0.5, (2000, 2))  # some points leave the unit box
-    h = m.fit_histogram(pts, unit_box(), 8)
+    h = m.fit_histogram(pts, unit_grid(8))
     inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1).sum()
     assert h.counts.sum() == inside
     assert h.binned_fraction == inside / len(pts)
@@ -87,22 +120,23 @@ def test_refinement_keeps_binned_fraction():
     pts = rng.normal(0.5, 0.4, (3000, 2))
     box = unit_box()
     for b in (4, 8, 16, 32):
-        assert m.fit_histogram(pts, box, b).binned_fraction == m.fit_histogram(
-            pts, box, 2 * b
+        assert m.fit_histogram(pts, m.Grid(box, b)).binned_fraction == m.fit_histogram(
+            pts, m.Grid(box, 2 * b)
         ).binned_fraction
 
 
 def uniform_fit(box, b, per_cell):
     """Histogram with ``per_cell`` points at every cell center: exactly
     uniform over the box."""
-    return m.fit_histogram(np.repeat(grid_centers(box, b), per_cell, axis=0), box, b)
+    grid = m.Grid(box, b)
+    return m.fit_histogram(np.repeat(grid.centers(), per_cell, axis=0), grid)
 
 
 def drift(variant, h, ref, x, rng):
     """The drift at x with its sides drawn from ``rng`` as the flow's are."""
     estimate = m.grad_log_ratio_forward if variant == "forward" else m.grad_log_ratio_reverse
     up = rng.integers(0, 2, size=np.shape(x))
-    return estimate(h, ref, x, up, bin_points(h.box, h.bins_per_dim, x))
+    return estimate(h, ref, x, up, bin_points(h.grid, x))
 
 
 def test_grad_log_ratio_zero_for_matching_uniforms():
@@ -116,13 +150,13 @@ def test_grad_log_ratio_zero_for_matching_uniforms():
 
 def test_sign_average_equals_central_difference():
     rng = np.random.default_rng(4)
-    h = m.fit_histogram(rng.normal(0.5, 0.2, (5000, 2)), unit_box(), 8)
+    h = m.fit_histogram(rng.normal(0.5, 0.2, (5000, 2)), unit_grid(8))
     ref = uniform_fit(unit_box(), 8, 2)
     assert np.all(ref.values == 1.0)
     x = np.array([[0.45, 0.55]])
     g_plus = drift("forward", h, ref, x, FixedSignRng(1))
     g_minus = drift("forward", h, ref, x, FixedSignRng(0))
-    w = h.bin_widths
+    w = h.grid.bin_widths
     for a in range(2):
         step = np.zeros(2)
         step[a] = w[a]
@@ -136,10 +170,10 @@ def test_upper_face_reads_inward_difference():
     # draw differences it against the cell below, not against itself
     rng = np.random.default_rng(8)
     b = 4
-    h = m.fit_histogram(rng.normal([0.7, 0.4], 0.2, (3000, 2)), unit_box(), b)
+    h = m.fit_histogram(rng.normal([0.7, 0.4], 0.2, (3000, 2)), unit_grid(b))
     ref = uniform_fit(unit_box(), b, 2)
     f = np.log(h.values / ref.values).reshape(b, b)
-    w = h.bin_widths
+    w = h.grid.bin_widths
     x = np.array([[1.0, 0.4], [0.6, 1.0]])
     g = drift("forward", h, ref, x, FixedSignRng(0))
     assert g[0, 0] == pytest.approx((f[b - 1, 1] - f[b - 2, 1]) / w[0], rel=1e-12)
@@ -150,8 +184,8 @@ def test_upper_face_reads_inward_difference():
 @pytest.mark.parametrize("variant", ["forward", "reverse"])
 def test_points_outside_the_box_read_zero(variant):
     rng = np.random.default_rng(9)
-    h = m.fit_histogram(rng.normal(0.5, 0.2, (2000, 2)), unit_box(), 6)
-    ref = m.fit_histogram(rng.normal(0.5, 0.3, (2000, 2)), unit_box(), 6)
+    h = m.fit_histogram(rng.normal(0.5, 0.2, (2000, 2)), unit_grid(6))
+    ref = m.fit_histogram(rng.normal(0.5, 0.3, (2000, 2)), unit_grid(6))
     x = np.array([[1.5, 0.5], [-0.2, 0.3], [0.5, 2.0], [1.0 + 1e-12, 1.0], [-3.0, -3.0]])
     for bit in (0, 1):
         g = drift(variant, h, ref, x, FixedSignRng(bit))
@@ -180,7 +214,7 @@ def test_side_bits_equal_two_integer_draws(shape):
 
 def test_points_of_another_dimension_are_rejected():
     rng = np.random.default_rng(10)
-    h = m.fit_histogram(rng.random((500, 2)), unit_box(), 4)
+    h = m.fit_histogram(rng.random((500, 2)), unit_grid(4))
     with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(2, 1\)"):
         h.density_at([[0.9], [0.1]])
     with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(1, 3\)"):
@@ -188,7 +222,7 @@ def test_points_of_another_dimension_are_rejected():
     with pytest.raises(ValueError, match=r"\(n, 2\) array, got shape \(2, 1\)"):
         drift("forward", h, h, np.array([[0.9], [0.1]]), rng)
     # slots of 2-D points offered with 3-D points
-    slots = bin_points(h.box, 4, np.full((2, 2), 0.5))
+    slots = bin_points(h.grid, np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="points have shape"):
         m.grad_log_ratio_reverse(h, h, np.full((2, 3), 0.5), np.zeros((2, 3), int), slots)
     # side bits of another shape than the points
@@ -215,8 +249,8 @@ def self_ratio_drift(variant, seed, n_probes):
     rng = np.random.default_rng(seed)
     pts = marg.sample(400_000, rng)
     box = m.Box.hull([pts], 0.05)
-    h = m.fit_histogram(pts, box, 25)
-    ref = m.fit_histogram(marg.sample(400_000, rng), box, 25)
+    h = m.fit_histogram(pts, m.Grid(box, 25))
+    ref = m.fit_histogram(marg.sample(400_000, rng), m.Grid(box, 25))
     probes = marg.sample(2000, rng)
     probes = probes[np.linalg.norm(probes, axis=1) < 2 * np.sqrt(0.02)][:n_probes]
     return drift(variant, h, ref, probes, rng).mean(axis=0)
@@ -232,9 +266,9 @@ def test_reverse_self_ratio_gradient_is_small():
 
 def test_reverse_gradient_finite_when_reference_vanishes():
     rng = np.random.default_rng(5)
-    h = m.fit_histogram(rng.random((1000, 2)), unit_box(), 4)
+    h = m.fit_histogram(rng.random((1000, 2)), unit_grid(4))
     # every reference point lies outside the box, so every cell sits at the floor
-    far = m.fit_histogram(rng.random((1000, 2)) + 50.0, unit_box(), 4)
+    far = m.fit_histogram(rng.random((1000, 2)) + 50.0, unit_grid(4))
     assert far.counts.sum() == 0
     g = drift("reverse", h, far, np.array([[0.5, 0.5]]), rng)
     assert np.all(np.isfinite(g))
@@ -242,8 +276,8 @@ def test_reverse_gradient_finite_when_reference_vanishes():
 
 def test_kl_estimate_of_itself_is_zero():
     rng = np.random.default_rng(6)
-    h = m.fit_histogram(rng.random((2000, 2)), unit_box(), 8)
-    assert m.kl_estimate(h, reference_at_centers(h, h)) == 0.0
+    h = m.fit_histogram(rng.random((2000, 2)), unit_grid(8))
+    assert m.kl_estimate(h, reference_at_centers(h.grid, h)) == 0.0
 
 
 def test_kl_estimate_sampled_gaussian_bias():
@@ -251,49 +285,50 @@ def test_kl_estimate_sampled_gaussian_bias():
     rng = np.random.default_rng(7)
     pts = marg.sample(100_000, rng)
     box = m.Box.hull([pts], 0.05)
-    h = m.fit_histogram(pts, box, 50)
-    assert m.kl_estimate(h, reference_at_centers(h, marg)) <= 0.15
+    h = m.fit_histogram(pts, m.Grid(box, 50))
+    assert m.kl_estimate(h, reference_at_centers(h.grid, marg)) <= 0.15
 
 
 def test_kl_estimate_matches_gaussian_closed_form():
     # deterministic "histogram" of N(0, I) via large integer counts
     box = m.Box(-6 * np.ones(2), 6 * np.ones(2))
     b = 50
-    centers = grid_centers(box, b)
+    grid = m.Grid(box, b)
+    centers = grid.centers()
     p = m.make_gaussian([0.0, 0.0], np.eye(2))
     q = m.make_gaussian([0.6, 0.8], np.eye(2))
     cell = (12.0 / b) ** 2
     counts = np.round(p.density_at(centers) * cell * 1e12).astype(np.int64)
-    h = m.HistogramDensity(box=box, bins_per_dim=b, counts=counts, total=int(counts.sum()))
+    h = m.HistogramDensity(grid=grid, counts=counts, total=int(counts.sum()))
     expected = m.gaussian_kl([0.0, 0.0], np.eye(2), [0.6, 0.8], np.eye(2))
     assert expected == pytest.approx(0.5)
-    assert m.kl_estimate(h, reference_at_centers(h, q)) == pytest.approx(expected, rel=0.05)
+    assert m.kl_estimate(h, reference_at_centers(h.grid, q)) == pytest.approx(expected, rel=0.05)
 
 
 def test_l2_error_conventions():
     rng = np.random.default_rng(8)
-    h = m.fit_histogram(rng.random((2000, 2)), unit_box(), 8)
-    assert m.l2_error(h, reference_at_centers(h, h)) == 0.0
+    h = m.fit_histogram(rng.random((2000, 2)), unit_grid(8))
+    assert m.l2_error(h, reference_at_centers(h.grid, h)) == 0.0
 
     # disjointly supported uniforms on a shared domain: integral of p^2 + q^2
     box = m.Box(np.array([0.0, 0.0]), np.array([2.0, 1.0]))
     left_centers = np.array([[0.5, 0.25], [0.5, 0.75]])
     left = np.repeat(left_centers, 1000, axis=0)  # exactly uniform on [0,1]x[0,1]
-    h_left = m.fit_histogram(left, box, 2)
+    h_left = m.fit_histogram(left, m.Grid(box, 2))
 
     class RightHalfUniform:
         def density_at(self, x):
             x = np.atleast_2d(x)
             return np.where(x[:, 0] >= 1.0, 1.0, 0.0)
 
-    val = m.l2_error(h_left, reference_at_centers(h_left, RightHalfUniform()))
+    val = m.l2_error(h_left, reference_at_centers(h_left.grid, RightHalfUniform()))
     assert val == pytest.approx(2.0, rel=1e-6)
 
 
 def test_kl_reverse_estimate_percell():
     rng = np.random.default_rng(10)
-    h = m.fit_histogram(rng.random((3000, 2)), unit_box(), 4)
+    h = m.fit_histogram(rng.random((3000, 2)), unit_grid(4))
     ref = ConstantDensity(1.0)
-    assert m.kl_estimate_reverse(h, reference_at_centers(h, ref)) >= 0.0
+    assert m.kl_estimate_reverse(h, reference_at_centers(h.grid, ref)) >= 0.0
     # reversed KL of the histogram against itself vanishes
-    assert m.kl_estimate_reverse(h, reference_at_centers(h, h)) == 0.0
+    assert m.kl_estimate_reverse(h, reference_at_centers(h.grid, h)) == 0.0

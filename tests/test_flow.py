@@ -29,8 +29,8 @@ def small_config(**overrides):
 def step_binned(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng):
     """``step_particles`` with the mobile families binned on the grids of
     ``rho1`` and ``rho2``."""
-    x2_slots = bin_points(rho1.box, rho1.bins_per_dim, ps.x2)
-    y1_slots = bin_points(rho2.box, rho2.bins_per_dim, ps.y1)
+    x2_slots = bin_points(rho1.grid, ps.x2)
+    y1_slots = bin_points(rho2.grid, ps.y1)
     return m.step_particles(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng, x2_slots, y1_slots)
 
 
@@ -80,10 +80,11 @@ def test_step_particles_pure_cost_descent(gaussian_pair, cost):
     ps = m.init_particles(mu, nu, cfg, rng)
     ps = dataclasses.replace(ps, lam=0.0)
     box = m.Box(np.array([-2.0, -2.0]), np.array([3.0, 3.0]))
-    rho1 = m.fit_histogram(ps.pooled_x(), box, cfg.bins_per_dim)
-    rho2 = m.fit_histogram(ps.pooled_y(), box, cfg.bins_per_dim)
-    mu_ref = m.fit_histogram(mu.sample(4000, rng), box, cfg.bins_per_dim)
-    nu_ref = m.fit_histogram(nu.sample(4000, rng), box, cfg.bins_per_dim)
+    grid = m.Grid(box, cfg.bins_per_dim)
+    rho1 = m.fit_histogram(ps.pooled_x(), grid)
+    rho2 = m.fit_histogram(ps.pooled_y(), grid)
+    mu_ref = m.fit_histogram(mu.sample(4000, rng), grid)
+    nu_ref = m.fit_histogram(nu.sample(4000, rng), grid)
     before = ps.copy()
     stepped = step_binned(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng)
     expect_x2 = before.x2 - 2 * cfg.dt * (before.x2 - before.y2)
@@ -105,10 +106,11 @@ def test_step_particles_zero_drift_when_marginals_match(cost):
     rng = np.random.default_rng(3)
     ps = m.init_particles(marg, marg, cfg, rng)
     box = marg.support_box
-    rho1 = m.fit_histogram(ps.pooled_x(), box, 20)
-    rho2 = m.fit_histogram(ps.pooled_y(), box, 20)
-    mu_ref = m.fit_histogram(marg.sample(80_000, rng), box, 20)
-    nu_ref = m.fit_histogram(marg.sample(80_000, rng), box, 20)
+    grid = m.Grid(box, 20)
+    rho1 = m.fit_histogram(ps.pooled_x(), grid)
+    rho2 = m.fit_histogram(ps.pooled_y(), grid)
+    mu_ref = m.fit_histogram(marg.sample(80_000, rng), grid)
+    nu_ref = m.fit_histogram(marg.sample(80_000, rng), grid)
 
     zero = lambda x, y: np.zeros(len(np.atleast_2d(x)))
     zgrad = lambda x, y: np.zeros_like(np.atleast_2d(x), dtype=float)
@@ -127,10 +129,11 @@ def step_with_gradients(gaussian_pair, grad_x, grad_y):
     rng = np.random.default_rng(4)
     ps = m.init_particles(mu, nu, cfg, rng)
     box = m.Box(np.array([-2.0, -2.0]), np.array([3.0, 3.0]))
-    rho1 = m.fit_histogram(ps.pooled_x(), box, cfg.bins_per_dim)
-    rho2 = m.fit_histogram(ps.pooled_y(), box, cfg.bins_per_dim)
-    mu_ref = m.fit_histogram(mu.sample(4000, rng), box, cfg.bins_per_dim)
-    nu_ref = m.fit_histogram(nu.sample(4000, rng), box, cfg.bins_per_dim)
+    grid = m.Grid(box, cfg.bins_per_dim)
+    rho1 = m.fit_histogram(ps.pooled_x(), grid)
+    rho2 = m.fit_histogram(ps.pooled_y(), grid)
+    mu_ref = m.fit_histogram(mu.sample(4000, rng), grid)
+    nu_ref = m.fit_histogram(nu.sample(4000, rng), grid)
     zero = lambda x, y: np.zeros(len(np.atleast_2d(x)))
     cost = m.CostFunction(evaluate=zero, grad_x=grad_x, grad_y=grad_y, name="bad")
     return step_binned(ps, mu_ref, nu_ref, cost, cfg, rho1, rho2, rng)

@@ -271,6 +271,17 @@ def test_box_validation():
         m.Box(np.array([]), np.array([]))
 
 
+def test_boxes_compare_by_their_bounds():
+    box = m.Box(np.zeros(2), np.ones(2))
+    assert box == m.Box(np.zeros(2), np.ones(2))
+    assert box == m.Box([-0.0, 0.0], [1, 1])
+    assert box != m.Box(np.zeros(2), np.array([1.0, 2.0]))
+    assert box != m.Box(np.array([0.5, 0.0]), np.ones(2))
+    assert box != m.Box(np.zeros(3), np.ones(3))
+    assert box != "box"
+    assert m.Box([0.0], [1.0]) == m.Box(np.zeros(1), np.ones(1))
+
+
 def test_box_hull_pads_the_stacked_span():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(50, 2)), rng.normal(3.0, 1.0, size=(20, 2))

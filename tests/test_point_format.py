@@ -22,7 +22,7 @@ def line():
     cost = m.quadratic_cost()
     return SimpleNamespace(
         mu=mu,
-        hist=m.fit_histogram(mu.sample(100, np.random.default_rng(0)), mu.support_box, 8),
+        hist=m.fit_histogram(mu.sample(100, np.random.default_rng(0)), m.Grid(mu.support_box, 8)),
         cost=cost,
         ev=m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=16),
     )
@@ -31,7 +31,7 @@ def line():
 FLAT_CALLS = {
     "Marginal.density_at": lambda s: s.mu.density_at(FLAT),
     "HistogramDensity.density_at": lambda s: s.hist.density_at(FLAT),
-    "fit_histogram": lambda s: m.fit_histogram(FLAT, s.hist.box, 8),
+    "fit_histogram": lambda s: m.fit_histogram(FLAT, s.hist.grid),
     "make_empirical": lambda s: m.make_empirical(FLAT),
     "Box.hull": lambda s: m.Box.hull([FLAT], 0.1),
     "cost.evaluate": lambda s: s.cost.evaluate(FLAT, FLAT),
