@@ -42,7 +42,7 @@ MAX_TOTAL_BINS = 10_000_000
 class Grid:
     """The regular grid of ``bins_per_dim`` cells per axis over ``box``. Its
     shape is checked and its other fields (``bin_widths`` read-only) computed
-    once, at construction. Grids compare by box and bin count alone."""
+    once, at construction. Grids compare and hash by box and bin count alone."""
 
     box: Box
     bins_per_dim: int

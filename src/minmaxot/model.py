@@ -19,8 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [low_i, high_i] in R^d. ``widths`` (high - low,
-    read-only) is computed once, at construction. Boxes compare by their
-    bounds."""
+    read-only) is computed once, at construction. Boxes compare and hash by
+    their bounds."""
 
     low: np.ndarray
     high: np.ndarray
@@ -45,6 +45,10 @@ class Box:
         if not isinstance(other, Box):
             return NotImplemented
         return np.array_equal(self.low, other.low) and np.array_equal(self.high, other.high)
+
+    def __hash__(self):
+        # Python floats, not the arrays' bytes: -0.0 == 0.0, so they must hash alike.
+        return hash((tuple(self.low.tolist()), tuple(self.high.tolist())))
 
     @property
     def dim(self) -> int:

@@ -18,6 +18,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .model import Box, CostFunction, Marginal, check_points
 
+# Sampled x nodes per ``cost.evaluate`` call of the sum-over-axes check.
+_CHECK_BLOCK = 32
+
 
 def _tensor_gauss_legendre(
     box: Box, base_x: np.ndarray, base_w: np.ndarray
@@ -116,15 +119,20 @@ class ResponseEvaluator:
         self._axis_costs = [self._axis_cost(u, v) for u, v in zip(self._axes_x, self._axes_y)]
 
         # sum_a C_a must reproduce the cost on evenly spaced joint node pairs,
-        # checked one x node at a time. np.maximum keeps a NaN, which fails.
+        # checked in blocks of x nodes: one call per x node costs more in call
+        # overhead than in arithmetic, one call for all pairs more in memory.
+        # np.maximum keeps a NaN, which fails.
         idx = np.linspace(0, len(self.nodes_x) - 1, 256).astype(np.int64)
         axis_idx = np.unravel_index(idx, (quad_nodes_per_dim,) * mu.dim)
-        summed = sum(c[np.ix_(i, i)] for c, i in zip(self._axis_costs, axis_idx))
+        summed = sum(c.take(i, axis=0).take(i, axis=1) for c, i in zip(self._axis_costs, axis_idx))
         ys = self.nodes_y[idx]
         err = scale = 0.0
-        for k, row in zip(idx, summed):
-            direct = self.cost.evaluate(np.broadcast_to(self.nodes_x[k], ys.shape), ys)
-            err = np.maximum(err, np.max(np.abs(row - direct)))
+        for start in range(0, len(idx), _CHECK_BLOCK):
+            block = slice(start, start + _CHECK_BLOCK)
+            rows = summed[block]
+            xs = np.repeat(self.nodes_x[idx[block]], len(ys), axis=0)
+            direct = self.cost.evaluate(xs, np.tile(ys, (len(rows), 1))).reshape(rows.shape)
+            err = np.maximum(err, np.max(np.abs(rows - direct)))
             scale = np.maximum(scale, np.max(np.abs(direct)))
         if not err <= 1e-12 * scale:
             raise ValueError(f"cost {cost.name!r} is not a sum over axes of its 1-D terms")

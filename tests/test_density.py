@@ -94,6 +94,17 @@ def test_grids_compare_by_value_and_histograms_by_identity():
     assert h.box is grid.box
 
 
+def test_equal_grids_hash_alike():
+    grid = unit_grid(4)
+    same = m.Grid(m.Box([-0.0, 0.0], [1.0, 1.0]), 4)
+    assert hash(same) == hash(grid)
+    keyed = {grid: "a", same: "b"}
+    assert keyed == {grid: "b"}
+    keyed[m.Grid(m.Box([0.0, 0.0], [1.0, 2.0]), 4)] = "c"
+    keyed[unit_grid(5)] = "d"
+    assert len(keyed) == 3
+
+
 def test_density_at_lookup_conventions():
     rng = np.random.default_rng(0)
     h = m.fit_histogram(rng.random((500, 2)), unit_grid(4))

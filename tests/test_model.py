@@ -282,6 +282,18 @@ def test_boxes_compare_by_their_bounds():
     assert m.Box([0.0], [1.0]) == m.Box(np.zeros(1), np.ones(1))
 
 
+def test_equal_boxes_hash_alike():
+    box = m.Box(np.zeros(2), np.ones(2))
+    same = (m.Box([0.0, 0.0], [1.0, 1.0]), m.Box([-0.0, 0.0], [1, 1]))
+    assert all(hash(b) == hash(box) for b in same)
+    keyed = {box: "a"}
+    for b in same:
+        keyed[b] = "b"
+    assert keyed == {box: "b"}
+    keyed[m.Box(np.zeros(2), np.array([1.0, 2.0]))] = "c"
+    assert len(keyed) == 2
+
+
 def test_box_hull_pads_the_stacked_span():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(50, 2)), rng.normal(3.0, 1.0, size=(20, 2))

@@ -307,11 +307,36 @@ def nan_axis_cost():
     return m.CostFunction(evaluate=evaluate, grad_x=None, grad_y=None, name="nan_axis")
 
 
+def spiked_cost(x0, y0):
+    """The quadratic cost, plus 1 at the one joint pair (x0, y0)."""
+    quadratic = m.quadratic_cost()
+
+    def evaluate(x, y):
+        out = quadratic.evaluate(x, y)
+        if x.shape[1] == len(x0):
+            out[(x == x0).all(axis=1) & (y == y0).all(axis=1)] += 1.0
+        return out
+
+    return dataclasses.replace(quadratic, evaluate=evaluate, name="spiked")
+
+
 def test_cost_not_a_sum_over_axes_is_rejected(gaussian_pair):
     mu, nu = gaussian_pair
-    for cost in (euclidean_cost(), nan_axis_cost()):
+    for nodes in (8, 56):
+        for cost in (euclidean_cost(), nan_axis_cost()):
+            with pytest.raises(ValueError, match="sum over axes"):
+                m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=nodes)
+
+
+def test_sum_over_axes_check_covers_every_block_of_x_nodes(gaussian_pair, cost):
+    # The first and the last node are always among the sampled ones. At 56
+    # nodes per axis the 256 sampled x nodes are distinct, so the first x node
+    # lies in the first block the check evaluates and the last in the last.
+    mu, nu = gaussian_pair
+    ev = m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=56)
+    for x0, y0 in ((ev.nodes_x[0], ev.nodes_y[-1]), (ev.nodes_x[-1], ev.nodes_y[0])):
         with pytest.raises(ValueError, match="sum over axes"):
-            m.ResponseEvaluator(mu, nu, cost, quad_nodes_per_dim=8)
+            m.ResponseEvaluator(mu, nu, spiked_cost(x0, y0), quad_nodes_per_dim=56)
 
 
 def test_marginals_of_different_dimension_are_rejected(line_pair, gaussian_pair, cost):
